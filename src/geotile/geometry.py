@@ -6,7 +6,7 @@ All functions work on normalised tile coordinates but are unit-agnostic.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -153,7 +153,7 @@ def min_area_box(
     *,
     min_side: float = MIN_BOX_SIDE,
     step_deg: float = BOX_SCAN_STEP_DEG,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
 ) -> MinBox:
     """Approximate minimum-area oriented box over a point set.
 
@@ -164,11 +164,15 @@ def min_area_box(
 
     A single distinct point becomes a min_side square rotated uniformly in
     [0, 180) degrees drawn from rng (axis-aligned when rng is None), so point
-    features do not all share one orientation.  Collinear inputs produce a
-    rectangle aligned with their principal segment.
+    features do not all share one orientation.  rng may also be a
+    zero-argument factory, called only in that case, so callers need not
+    derive a generator that other hulls never use.  Collinear inputs produce
+    a rectangle aligned with their principal segment.
     """
     hull = convex_hull(points)
     if len(hull) == 1:
+        if callable(rng):
+            rng = rng()
         angle = 0.0 if rng is None else float(rng.uniform(0.0, math.pi))
         p = hull[0]
         c, s = math.cos(-angle), math.sin(-angle)
@@ -201,7 +205,7 @@ def geometry_min_box(
     *,
     min_side: float = MIN_BOX_SIDE,
     step_deg: float = BOX_SCAN_STEP_DEG,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
 ) -> MinBox:
     """Oriented box for any geometry kind; ring closing points are ignored."""
     if geom.kind == "point":

@@ -92,6 +92,12 @@ def _zigzag(n: int) -> int:
     return (n >> 1) ^ -(n & 1)
 
 
+def _int64(n: int) -> int:
+    """A varint read as protobuf int64: the low 64 bits in two's complement."""
+    n &= (1 << 64) - 1
+    return n - (1 << 64) if n >= 1 << 63 else n
+
+
 def _fields(buf: bytes, base: int):
     """Iterate (field_number, wire_type, value) over one message."""
     i = 0
@@ -300,12 +306,12 @@ def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
             table = _parse_string_table(val, base)
         elif fnum == 2 and wt == 2:
             groups.append(val)
-        elif fnum == 17:
+        elif fnum == 17 and wt == 0:
             granularity = val
-        elif fnum == 19:
-            lat_offset = val
-        elif fnum == 20:
-            lon_offset = val
+        elif fnum == 19 and wt == 0:
+            lat_offset = _int64(val)
+        elif fnum == 20 and wt == 0:
+            lon_offset = _int64(val)
 
     def coord(raw: int, axis: str) -> float:
         offset = lat_offset if axis == "lat" else lon_offset

@@ -8,6 +8,7 @@ and box/graph computation depends only on the geometry and the derived seed.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 
 from .geometry import MIN_BOX_SIDE, douglas_peucker, geometry_min_box
 from .model import Entity, Geometry, Tile
@@ -41,7 +42,7 @@ def simplify_geometry(geom: Geometry, eps: float) -> Geometry:
 
 def process_entity(entity: Entity, tile: Tile, eps_norm: float, seed: int) -> Entity:
     geom = simplify_geometry(entity.geometry, eps_norm)
-    rng = rng_for(seed, "minbox", tile.id.key, entity.id)
+    rng = partial(rng_for, seed, "minbox", tile.id.key, entity.id)
     minbox = geometry_min_box(geom, min_side=MIN_BOX_SIDE, rng=rng)
     visgraph = visibility_edges(geom) if geom.kind == "multipolygon" else None
     return replace(entity, geometry=geom, minbox=minbox, visgraph=visgraph)

@@ -98,6 +98,11 @@ def load_task(source: str) -> TaskSpec:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{source}: a task must be a JSON object")
+    missing = [key for key in ("name", "counted", "label", "clamp") if key not in obj]
+    if missing:
+        raise ValueError(f"{source}: task is missing required key(s) {', '.join(map(repr, missing))}")
     mask = obj.get("mask", {})
     sentinel = obj.get("sentinel", {})
     return TaskSpec(

@@ -342,6 +342,8 @@ def load_token_batch(path: str) -> TokenBatch:
         blob = fh.read()
     if blob[:4] != BATCH_MAGIC:
         raise ValueError(f"{path}: not a token-batch dump (bad magic)")
+    if len(blob) < 20:
+        raise ValueError(f"{path}: truncated header, {len(blob)} of 20 bytes")
     version, n, max_len, d = struct.unpack_from("<IIII", blob, 4)
     if version != BATCH_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")

@@ -6,15 +6,27 @@ properly crosses no boundary edge; touching an edge at a shared endpoint or
 grazing a vertex does not block visibility.  Same-ring and cross-ring pairs
 both participate, and ring provenance is kept so either subset can be
 selected afterwards.
+
+``visibility_edges`` is a numpy kernel whose graph equals that of the scalar
+oracle ``visibility_edges_brute`` edge for edge.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .model import EDGE_BOUNDARY, EDGE_VISIBLE, Geometry, VisibilityGraph
 
 Scene = tuple[list[tuple[float, float]], list[tuple[int, int]], list[tuple[int, int]]]
+
+# Pair-edge cells per block of the vectorised test: 64 Ki float64 cells are
+# 0.5 MB per temporary, so the working set stays in cache whatever the scene.
+BLOCK_ELEMENTS = 1 << 16
+
+# Edges on each side of a source vertex tested before all the others.  On
+# the landuse benchmark's wavy rings (seed 1), the 32 ring edges around a
+# vertex block 85% of the blocked pairs, which halves the kernel's time there.
+NEAR_EDGES = 16
 
 
 def build_scene(geom: Geometry) -> Scene:
@@ -96,137 +108,44 @@ def visibility_edges_brute(geom: Geometry) -> VisibilityGraph:
     return _assemble(scene, visible)
 
 
-class _EdgeGrid:
-    """Uniform grid over boundary edges for segment occlusion queries.
-
-    Edges are bucketed by bounding box, so any cell a segment passes through
-    holds every edge it could properly cross there.  Queries walk the cells
-    along the segment and stop at the first crossing; on a near-tie at a cell
-    corner both side cells are visited, keeping the walk conservative.
-    """
-
-    def __init__(self, vertices: list[tuple[float, float]], edges: list[tuple[int, int]]):
-        self.ax = [vertices[a][0] for a, _ in edges]
-        self.ay = [vertices[a][1] for a, _ in edges]
-        self.bx = [vertices[b][0] for _, b in edges]
-        self.by = [vertices[b][1] for _, b in edges]
-        xs = [p[0] for p in vertices]
-        ys = [p[1] for p in vertices]
-        # Slightly offset origin so geometry aligned to round numbers does
-        # not sit exactly on cell boundaries.
-        pad = max(max(xs) - min(xs), max(ys) - min(ys), 1e-9) * 0.00537
-        self.ox = min(xs) - pad
-        self.oy = min(ys) - pad
-        span_x = max(xs) - self.ox + pad
-        span_y = max(ys) - self.oy + pad
-        m = max(len(edges), 1)
-        self.ncx = max(1, min(int(math.sqrt(m)) + 1, 256))
-        self.ncy = self.ncx
-        self.csx = span_x / self.ncx
-        self.csy = span_y / self.ncy
-        buckets: dict[int, list[int]] = {}
-        for e in range(len(edges)):
-            gx0, gy0 = self._cell(min(self.ax[e], self.bx[e]), min(self.ay[e], self.by[e]))
-            gx1, gy1 = self._cell(max(self.ax[e], self.bx[e]), max(self.ay[e], self.by[e]))
-            for gx in range(gx0, gx1 + 1):
-                for gy in range(gy0, gy1 + 1):
-                    buckets.setdefault(gx * self.ncy + gy, []).append(e)
-        self.buckets = {k: tuple(v) for k, v in buckets.items()}
-        self.n_edges = len(edges)
-        self._stamp = [0] * len(edges)
-        self._query = 0
-
-    def _cell(self, x: float, y: float) -> tuple[int, int]:
-        gx = int((x - self.ox) / self.csx)
-        gy = int((y - self.oy) / self.csy)
-        return (min(max(gx, 0), self.ncx - 1), min(max(gy, 0), self.ncy - 1))
-
-    def blocked(self, px: float, py: float, qx: float, qy: float) -> bool:
-        """Does any bucketed edge properly cross segment pq?"""
-        self._query += 1
-        query = self._query
-        stamp = self._stamp
-        buckets = self.buckets
-        ax, ay, bx, by = self.ax, self.ay, self.bx, self.by
-
-        def test_cell(gx: int, gy: int) -> bool:
-            bucket = buckets.get(gx * self.ncy + gy)
-            if bucket is None:
-                return False
-            for e in bucket:
-                if stamp[e] == query:
-                    continue
-                stamp[e] = query
-                if proper_crossing(px, py, qx, qy, ax[e], ay[e], bx[e], by[e]):
-                    return True
-            return False
-
-        gx, gy = self._cell(px, py)
-        ex, ey = self._cell(qx, qy)
-        if test_cell(gx, gy):
-            return True
-        dx = qx - px
-        dy = qy - py
-        step_x = 1 if dx > 0 else -1
-        step_y = 1 if dy > 0 else -1
-        # Parametric distance to the next vertical / horizontal cell boundary.
-        if dx != 0.0:
-            nx = self.ox + (gx + (1 if dx > 0 else 0)) * self.csx
-            t_max_x = (nx - px) / dx
-            t_dx = self.csx / abs(dx)
-        else:
-            t_max_x, t_dx = math.inf, math.inf
-        if dy != 0.0:
-            ny = self.oy + (gy + (1 if dy > 0 else 0)) * self.csy
-            t_max_y = (ny - py) / dy
-            t_dy = self.csy / abs(dy)
-        else:
-            t_max_y, t_dy = math.inf, math.inf
-        tie = 1e-12
-        safety = (self.ncx + self.ncy + 4) * 2
-        while (gx, gy) != (ex, ey):
-            safety -= 1
-            if safety <= 0:
-                # Float trouble: fall back to testing everything once.
-                for e in range(self.n_edges):
-                    if stamp[e] != query and proper_crossing(
-                        px, py, qx, qy, ax[e], ay[e], bx[e], by[e]
-                    ):
-                        return True
-                return False
-            if t_max_x < t_max_y - tie:
-                gx += step_x
-                t_max_x += t_dx
-            elif t_max_y < t_max_x - tie:
-                gy += step_y
-                t_max_y += t_dy
-            else:
-                # Corner tie: visit both side cells, then move diagonally.
-                if 0 <= gx + step_x < self.ncx and test_cell(gx + step_x, gy):
-                    return True
-                if 0 <= gy + step_y < self.ncy and test_cell(gx, gy + step_y):
-                    return True
-                gx += step_x
-                gy += step_y
-                t_max_x += t_dx
-                t_max_y += t_dy
-            if not (0 <= gx < self.ncx and 0 <= gy < self.ncy):
-                gx = min(max(gx, 0), self.ncx - 1)
-                gy = min(max(gy, 0), self.ncy - 1)
-            if test_cell(gx, gy):
-                return True
-        return False
-
-
 def visibility_edges(geom: Geometry) -> VisibilityGraph:
-    """Grid-accelerated visibility graph; identical output to the brute pass."""
+    """Vectorised visibility graph; identical output to the brute pass.
+
+    ``side[k, e]`` is ``proper_crossing``'s ``o3``/``o4`` for vertex k and
+    edge e.  Each source vertex i tests its candidates j > i in row blocks of
+    at most ``BLOCK_ELEMENTS`` cells, forming ``o1``/``o2`` with the same
+    float64 expressions in the same operand order, so every sign equals the
+    scalar test's, with no epsilon.  In larger scenes the edges of i's ring
+    nearest i go first, and only the pairs they leave unblocked meet the rest.
+    ``side`` and the adjacency mask grow as n², like the graph itself.
+    """
     scene = build_scene(geom)
-    vertices, _, edges = scene
-    grid = _EdgeGrid(vertices, edges)
+    vertices, provenance, edges = scene
+    n, m = len(vertices), len(edges)
+    x, y = np.asarray(vertices, dtype=np.float64).T
+    a, b = np.asarray(edges).T
+    ax, ay, bx, by = x[a], y[a], x[b], y[b]
+    side = (bx - ax) * (y[:, None] - ay) - (by - ay) * (x[:, None] - ax)
+    adjacent = np.zeros((n, n), dtype=bool)
+    adjacent[a, b] = adjacent[b, a] = True
+    # build_scene numbers ring edges by their first vertex (edge k runs from
+    # vertex k), so the edges nearest i on its ring are one slice.
+    ring = np.array([r for r, _ in provenance])
+    ring_lo, ring_hi = np.searchsorted(ring, ring), np.searchsorted(ring, ring, "right")
+    rows = max(1, BLOCK_ELEMENTS // m)
     visible = []
-    for i, j in _candidate_pairs(scene):
-        px, py = vertices[i]
-        qx, qy = vertices[j]
-        if not grid.blocked(px, py, qx, qy):
-            visible.append((i, j))
+    for i in range(n - 1):
+        px, py = x[i], y[i]
+        dax, day, dbx, dby = ax - px, ay - py, bx - px, by - py
+        near = slice(max(ring_lo[i], i - NEAR_EDGES), min(ring_hi[i], i + NEAR_EDGES))
+        passes = (near, slice(None)) if m > 2 * NEAR_EDGES else (slice(None),)
+        candidates = i + 1 + np.flatnonzero(~adjacent[i, i + 1:])
+        for k in range(0, len(candidates), rows):
+            j = candidates[k:k + rows]
+            for cols in passes:
+                dqx, dqy = (x[j] - px)[:, None], (y[j] - py)[:, None]
+                o1 = dqx * day[cols] - dqy * dax[cols]
+                o2 = dqx * dby[cols] - dqy * dbx[cols]
+                j = j[~((o1 * o2 < 0.0) & (side[i, cols] * side[j, cols] < 0.0)).any(axis=1)]
+            visible.extend((i, q) for q in j.tolist())
     return _assemble(scene, visible)

@@ -249,6 +249,21 @@ def test_single_point_rotation_is_seeded():
     assert a.corners != c.corners
 
 
+def test_rng_factory_is_called_only_for_a_single_point():
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return np.random.default_rng(7)
+
+    lazy = min_area_box([(0.5, 0.5)], rng=factory)
+    assert lazy.corners == min_area_box([(0.5, 0.5)], rng=np.random.default_rng(7)).corners
+    assert len(calls) == 1
+    min_area_box([(0.1, 0.1), (0.4, 0.2), (0.3, 0.6)], rng=factory)
+    min_area_box([(0.1, 0.1), (0.4, 0.2)], rng=factory)
+    assert len(calls) == 1
+
+
 def test_segment_box_aligns_with_the_segment():
     box = min_area_box([(0.0, 0.0), (1.0, 0.0)])
     w, h = box_sides(box)

@@ -97,6 +97,29 @@ def test_reads_hand_encoded_golden_bytes(tmp_path):
     assert data.ways[0].coords == ((n10.lon, n10.lat), (n11.lon, n11.lat))
 
 
+def test_negative_lat_lon_offsets_are_int64(tmp_path):
+    # PrimitiveBlock.lat_offset / lon_offset are int64: a negative value is
+    # the ten-byte varint of its 64-bit two's complement.
+    strings = _ld(1, b"")
+    dense = _ld(1, _sv(7)) + _ld(8, _sv(350000000)) + _ld(9, _sv(-808000000))
+    block = (
+        _ld(1, strings)
+        + _ld(2, _ld(2, dense))
+        + _varint_field(19, (-5) & (2**64 - 1))
+        + _varint_field(20, (-1_000_000_000) & (2**64 - 1))
+    )
+    path = tmp_path / "offsets.osm.pbf"
+    path.write_bytes(_header_blob() + _blob("OSMData", block))
+    (node,) = read_pbf(str(path)).nodes
+    assert node.lat == pytest.approx(35.0 - 5e-9, abs=1e-12)
+    assert node.lon == pytest.approx(-81.8, abs=1e-12)
+    # The same fields with a length-delimited wire type are not varints and
+    # are skipped like any other mistyped field, not fed into arithmetic.
+    path.write_bytes(_header_blob() + _blob("OSMData", block + _ld(17, b"x") + _ld(19, b"x") + _ld(20, b"x")))
+    (node,) = read_pbf(str(path)).nodes
+    assert node.lat == pytest.approx(35.0 - 5e-9, abs=1e-12)
+
+
 def test_zlib_blob_variant(tmp_path):
     strings = b"".join(_ld(1, s) for s in [b"", b"building", b"yes"])
     ids = _sv(5)

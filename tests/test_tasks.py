@@ -1,6 +1,7 @@
 """Task configurations: labelling, evidence masking, rebalancing."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,23 @@ def test_load_task_from_json_path(tmp_path):
     assert spec.name == "speed_cameras"
     assert spec.counted == (TagPattern("highway", "speed_camera"),)
     assert spec.mask_counted is True and spec.mask_rules == ()
+
+
+@pytest.mark.parametrize("key", ["name", "counted", "label", "clamp"])
+def test_load_task_names_file_and_missing_key(tmp_path, key):
+    obj = {"name": "cams", "counted": ["highway=speed_camera"], "label": "count", "clamp": [0, 50]}
+    del obj[key]
+    path = tmp_path / "cams.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{key}'"):
+        load_task(str(path))
+
+
+def test_load_task_rejects_a_json_list(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(["name", "counted", "label", "clamp"]))
+    with pytest.raises(ValueError, match="JSON object"):
+        load_task(str(path))
 
 
 def test_spec_validation():

@@ -1,5 +1,7 @@
 """Vocabulary, embeddings, positional boxes and token batches."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -315,6 +317,22 @@ def test_dump_header_and_corruption(tmp_path):
     alien.write_bytes(b"NOPE" + blob[4:])
     with pytest.raises(ValueError, match="magic"):
         load_token_batch(str(alien))
+
+
+def test_truncated_header_raises_value_error_naming_file_and_size(tmp_path):
+    batch = assemble_token_batch([_five_entity_tile()], _table(), include_image=False)
+    path = tmp_path / "batch.gjtb"
+    dump_token_batch(batch, str(path))
+    blob = path.read_bytes()
+    cut = tmp_path / "cut.gjtb"
+    for size in range(21):
+        cut.write_bytes(blob[:size])
+        with pytest.raises(ValueError) as info:
+            load_token_batch(str(cut))
+        message = str(info.value)
+        assert message.startswith(f"{cut}: ")
+        if size >= 4:
+            assert re.search(rf"\b{size}\b", message[len(str(cut)):])
 
 
 def test_ids_do_not_survive_serialization(tmp_path):

@@ -1,4 +1,4 @@
-"""Visibility graphs: the grid-accelerated builder must match brute force
+"""Visibility graphs: the vectorised builder must match brute force
 edge for edge, and both must match a scalar oracle written independently
 here (its own orientation code, its own loop structure).
 """
@@ -6,6 +6,7 @@ here (its own orientation code, its own loop structure).
 import numpy as np
 import pytest
 
+from geotile import visibility
 from geotile.model import EDGE_BOUNDARY, EDGE_VISIBLE, Geometry
 from geotile.visibility import (
     build_scene,
@@ -156,3 +157,55 @@ def test_deterministic_output_order():
     assert all(k == "bnd" for k in kinds[:first_vis])
     vis_pairs = [(i, j) for i, j, k in graph.edges if k == "vis"]
     assert vis_pairs == sorted(vis_pairs)
+
+
+def _wavy_ring(n, cx, cy, radius, waves, reverse=False):
+    ring = [
+        (
+            cx + radius * (1.0 + 0.3 * np.sin(waves * t)) * np.cos(t),
+            cy + radius * (1.0 + 0.3 * np.sin(waves * t)) * np.sin(t),
+        )
+        for t in np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    ]
+    ring = [(float(px), float(py)) for px, py in ring]
+    if reverse:
+        ring.reverse()
+    return ring + [ring[0]]
+
+
+def test_row_blocks_and_near_edge_pass_equal_brute(monkeypatch):
+    # A wavy outer ring with two holes: more than 2 * NEAR_EDGES edges, so the
+    # near-edge pass runs, and a block size that splits every source vertex's
+    # candidates into several row blocks (one row each at the smallest).
+    outer = _wavy_ring(48, 0.5, 0.5, 0.35, 7)
+    holes = [_wavy_ring(6, 0.45, 0.5, 0.05, 2, reverse=True), _wavy_ring(5, 0.62, 0.55, 0.04, 3, reverse=True)]
+    geom = Geometry.multipolygon([[outer, *holes]])
+    expected = visibility_edges_brute(geom).edges
+    assert len(build_scene(geom)[2]) > 2 * visibility.NEAR_EDGES
+    for block in (1, 7 * 59, visibility.BLOCK_ELEMENTS):
+        monkeypatch.setattr(visibility, "BLOCK_ELEMENTS", block)
+        for near in (1, 3, visibility.NEAR_EDGES):
+            monkeypatch.setattr(visibility, "NEAR_EDGES", near)
+            assert visibility_edges(geom).edges == expected
+
+
+@pytest.mark.parametrize(
+    "polygons",
+    [
+        # Collinear vertices along every side of one ring.
+        [[[(0.0, 0.0), (0.5, 0.0), (1.0, 0.0), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0),
+           (0.0, 1.0), (0.0, 0.5), (0.0, 0.0)]]],
+        # A hole whose vertex lies on an outer edge (grazes it).
+        [[[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)],
+          [(0.5, 0.0), (0.4, 0.3), (0.6, 0.3), (0.5, 0.0)]]],
+        # Two rings sharing a coordinate: squares touching at one corner.
+        [[[(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 0.0)]],
+         [[(0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0), (0.5, 0.5)]]],
+    ],
+    ids=["collinear-ring", "hole-grazes-outer-edge", "rings-share-a-corner"],
+)
+def test_degenerate_scenes_equal_brute(polygons):
+    geom = Geometry.multipolygon(polygons)
+    expected = visibility_edges_brute(geom).edges
+    assert visibility_edges(geom).edges == expected
+    assert expected == _oracle_edges(geom)
