@@ -103,6 +103,7 @@ def cmd_synth_task(args) -> int:
     _print(f"labelled tiles    {len(result.labels)}")
     _print(f"pruned            {result.pruned}")
     _print(f"rebalance dropped {result.rebalance_dropped}")
+    _print(f"unparseable values {result.diagnostics.unparseable_values}")
     counts = Counter()
     for t in tiles:
         if t.id.key in result.labels:

@@ -147,19 +147,20 @@ def area_mask(
         n = int(n)
         rng = rng_for(seed, "area", key)
         cx, cy = centres[i, :n, 0], centres[i, :n, 1]
-        targets = []
-        covered: set[int] = set()
+        bounds = []
         for _ in range(num_targets):
             aspect = rng.uniform(lo, hi)
             w = min(1.0, math.sqrt(ratio * aspect))
             h = min(1.0, math.sqrt(ratio / aspect))
             x0 = rng.uniform(0.0, 1.0 - w)
             y0 = rng.uniform(0.0, 1.0 - h)
-            inside = (cx > x0) & (cx < x0 + w) & (cy > y0) & (cy < y0 + h)
-            idx = tuple(int(j) for j in np.flatnonzero(inside))
-            targets.append(idx)
-            covered.update(idx)
-        context = tuple(j for j in range(n) if j not in covered)
+            bounds.append((x0, x0 + w, y0, y0 + h))
+        # In centres' dtype: a float32 centre is compared with a float32 bound,
+        # as it is against a Python float, not widened to float64.
+        b = np.array(bounds, dtype=centres.dtype).reshape(-1, 4, 1)
+        inside = (cx > b[:, 0]) & (cx < b[:, 1]) & (cy > b[:, 2]) & (cy < b[:, 3])
+        targets = [tuple(np.flatnonzero(row).tolist()) for row in inside]
+        context = tuple(np.flatnonzero(~inside.any(axis=0)).tolist())
         plan.samples.append(SampleMask(key=key, valid_len=n, context=context, targets=tuple(targets)))
     return plan
 
@@ -181,7 +182,7 @@ def modality_mask(
     for i, (key, n) in enumerate(zip(_keys(valid_lens, sample_keys), valid_lens)):
         n = int(n)
         mods = modalities[i, :n]
-        present = sorted(int(m) for m in np.unique(mods))
+        present = np.unique(mods).tolist()
         if len(present) < 2:
             log.debug("sample %s is unimodal; falling back to random masking", key)
             plan.samples.append(_random_sample(key, n, fallback_ratio, fallback_num_targets, seed))
@@ -189,10 +190,8 @@ def modality_mask(
             continue
         rng = rng_for(seed, "modality", key)
         ctx_mod = present[int(rng.integers(len(present)))]
-        context = tuple(int(j) for j in np.flatnonzero(mods == ctx_mod))
-        targets = tuple(
-            tuple(int(j) for j in np.flatnonzero(mods == m)) for m in present if m != ctx_mod
-        )
+        context = tuple(np.flatnonzero(mods == ctx_mod).tolist())
+        targets = tuple(tuple(np.flatnonzero(mods == m).tolist()) for m in present if m != ctx_mod)
         plan.samples.append(SampleMask(key=key, valid_len=n, context=context, targets=targets))
     return plan
 

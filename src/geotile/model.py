@@ -104,13 +104,6 @@ class MinBox:
     def flat(self) -> tuple[float, ...]:
         return tuple(v for c in self.corners for v in c)
 
-    @staticmethod
-    def from_flat(values: Sequence[float]) -> "MinBox":
-        if len(values) != 8:
-            raise ValueError("minbox needs exactly 8 values")
-        it = [float(v) for v in values]
-        return MinBox(((it[0], it[1]), (it[2], it[3]), (it[4], it[5]), (it[6], it[7])))
-
 
 @dataclass(frozen=True)
 class VisibilityGraph:
@@ -162,22 +155,3 @@ class Tile:
     def with_entities(self, entities: Sequence[Entity]) -> "Tile":
         return replace(self, entities=tuple(entities))
 
-
-def validate_tile(tile: Tile, *, lo: float = 0.0, hi: float = 1.0) -> list[str]:
-    """List of constraint violations (coordinates outside [lo, hi], bad rings).
-
-    Empty list means the tile is well-formed for storage.
-    """
-    problems = []
-    if tile.extent_m <= 0:
-        problems.append("extent must be positive")
-    for e in tile.entities:
-        for x, y in e.geometry.iter_points():
-            if not (lo <= x <= hi and lo <= y <= hi):
-                problems.append(f"entity {e.id}: coordinate ({x}, {y}) outside [{lo}, {hi}]")
-                break
-        for ring in e.geometry.rings():
-            if len(ring) < 4 or ring[0] != ring[-1]:
-                problems.append(f"entity {e.id}: unclosed ring")
-                break
-    return problems

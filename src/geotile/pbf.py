@@ -408,7 +408,7 @@ def _resolve(out: PbfData) -> None:
             coords = tuple(node_xy[r] for r in way.refs)
         except KeyError:
             out.dropped_ways += 1
-            log.warning("way %d dropped: unresolved node reference", way.id)
+            log.debug("way %d dropped: unresolved node reference", way.id)
             continue
         resolved_ways.append(RawWay(way.id, way.refs, way.tags, coords))
         way_ids.add(way.id)
@@ -430,7 +430,7 @@ def _resolve(out: PbfData) -> None:
             resolved_rels.append(RawRelation(rel.id, tuple(members), rel.tags))
         else:
             out.dropped_relations += 1
-            log.warning("relation %d dropped: no resolvable members", rel.id)
+            log.debug("relation %d dropped: no resolvable members", rel.id)
     out.relations = resolved_rels
 
 

@@ -96,57 +96,73 @@ def _fail(path: str, message: str, lineno: int | None) -> TefError:
 def _number(value, path: str, lineno) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected number, got {type(value).__name__}", lineno)
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise _fail(path, "number out of float range", lineno) from None
+
+
+def _pair(value) -> tuple[float, float] | None:
+    """(x, y) for an [x, y] of two floats, else None; builds no error path.
+
+    The writer emits every coordinate as a float, so only hand-written ints
+    and bad input take _coord's path-naming route.
+    """
+    if type(value) is list and len(value) == 2:
+        x, y = value
+        if type(x) is float and type(y) is float:
+            return (x, y)
+    return None
 
 
 def _coord(value, path: str, lineno) -> tuple[float, float]:
+    pair = _pair(value)
+    if pair is not None:
+        return pair
     if not isinstance(value, list) or len(value) != 2:
         raise _fail(path, "expected [x, y]", lineno)
     return (_number(value[0], path + "[0]", lineno), _number(value[1], path + "[1]", lineno))
 
 
+def _points(values: list, path: str, lineno) -> tuple[tuple[float, float], ...]:
+    return tuple(_pair(p) or _coord(p, f"{path}[{i}]", lineno) for i, p in enumerate(values))
+
+
 def _ring(value, path: str, lineno):
     if not isinstance(value, list) or len(value) < 4:
         raise _fail(path, "ring must be a closed list of at least 4 points", lineno)
-    pts = [_coord(p, f"{path}[{i}]", lineno) for i, p in enumerate(value)]
+    pts = _points(value, path, lineno)
     if pts[0] != pts[-1]:
         raise _fail(path, "ring is not closed", lineno)
     return pts
 
 
 def _geometry(obj, path: str, lineno) -> Geometry:
+    """Geometry built from coordinates validated here, so its checks are not rerun."""
     if not isinstance(obj, dict):
         raise _fail(path, "expected object", lineno)
     kind = obj.get("type")
     coords = obj.get("coords")
-    try:
-        if kind == "point":
-            return Geometry.point(_coord(coords, path + ".coords", lineno))
-        if kind == "polyline":
-            if not isinstance(coords, list) or len(coords) < 2:
-                raise _fail(path + ".coords", "polyline needs at least 2 points", lineno)
-            return Geometry.polyline(
-                [_coord(p, f"{path}.coords[{i}]", lineno) for i, p in enumerate(coords)]
-            )
-        if kind == "polygon":
-            if not isinstance(coords, list) or not coords:
-                raise _fail(path + ".coords", "polygon needs at least one ring", lineno)
-            return Geometry.polygon(
-                [_ring(r, f"{path}.coords[{i}]", lineno) for i, r in enumerate(coords)]
-            )
-        if kind == "multipolygon":
-            if not isinstance(coords, list) or not coords:
-                raise _fail(path + ".coords", "multipolygon needs at least one polygon", lineno)
-            polys = []
-            for i, poly in enumerate(coords):
-                if not isinstance(poly, list) or not poly:
-                    raise _fail(f"{path}.coords[{i}]", "polygon needs at least one ring", lineno)
-                polys.append([_ring(r, f"{path}.coords[{i}][{j}]", lineno) for j, r in enumerate(poly)])
-            return Geometry.multipolygon(polys)
-    except ValueError as exc:
-        if isinstance(exc, TefError):
-            raise
-        raise _fail(path, str(exc), lineno) from None
+    if kind == "point":
+        return Geometry("point", _coord(coords, path + ".coords", lineno))
+    if kind == "polyline":
+        if not isinstance(coords, list) or len(coords) < 2:
+            raise _fail(path + ".coords", "polyline needs at least 2 points", lineno)
+        return Geometry("polyline", _points(coords, path + ".coords", lineno))
+    if kind == "polygon":
+        if not isinstance(coords, list) or not coords:
+            raise _fail(path + ".coords", "polygon needs at least one ring", lineno)
+        rings = tuple(_ring(r, f"{path}.coords[{i}]", lineno) for i, r in enumerate(coords))
+        return Geometry("polygon", rings)
+    if kind == "multipolygon":
+        if not isinstance(coords, list) or not coords:
+            raise _fail(path + ".coords", "multipolygon needs at least one polygon", lineno)
+        polys = []
+        for i, poly in enumerate(coords):
+            if not isinstance(poly, list) or not poly:
+                raise _fail(f"{path}.coords[{i}]", "polygon needs at least one ring", lineno)
+            polys.append(tuple(_ring(r, f"{path}.coords[{i}][{j}]", lineno) for j, r in enumerate(poly)))
+        return Geometry("multipolygon", tuple(polys))
     raise _fail(path + ".type", f"unknown geometry type {kind!r}", lineno)
 
 
@@ -156,9 +172,9 @@ def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
     vertices: list[tuple[int, int]] = []
     for ridx, ring in enumerate(geom.rings()):
         vertices.extend((ridx, i) for i in range(len(ring) - 1))
+    n = len(vertices)
     edges = []
     for i, item in enumerate(obj["edges"]):
-        epath = f"{path}.edges[{i}]"
         if (
             not isinstance(item, list)
             or len(item) != 3
@@ -166,9 +182,9 @@ def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
             or not isinstance(item[1], int)
             or item[2] not in (EDGE_BOUNDARY, EDGE_VISIBLE)
         ):
-            raise _fail(epath, 'expected [i, j, "bnd"|"vis"]', lineno)
-        if not (0 <= item[0] < len(vertices) and 0 <= item[1] < len(vertices)):
-            raise _fail(epath, "vertex index out of range", lineno)
+            raise _fail(f"{path}.edges[{i}]", 'expected [i, j, "bnd"|"vis"]', lineno)
+        if not (0 <= item[0] < n and 0 <= item[1] < n):
+            raise _fail(f"{path}.edges[{i}]", "vertex index out of range", lineno)
         edges.append((item[0], item[1], item[2]))
     return VisibilityGraph(vertices=tuple(vertices), edges=tuple(edges))
 
@@ -194,7 +210,11 @@ def _entity(obj, path: str, lineno) -> Entity:
         mb = obj["minbox"]
         if not isinstance(mb, list) or len(mb) != 8:
             raise _fail(path + ".minbox", "expected 8 numbers", lineno)
-        minbox = MinBox.from_flat([_number(v, f"{path}.minbox[{i}]", lineno) for i, v in enumerate(mb)])
+        v = [
+            x if type(x) is float else _number(x, f"{path}.minbox[{i}]", lineno)
+            for i, x in enumerate(mb)
+        ]
+        minbox = MinBox(((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7])))
     visgraph = None
     if obj.get("visgraph") is not None:
         visgraph = _visgraph(obj["visgraph"], geom, path + ".visgraph", lineno)
@@ -225,11 +245,6 @@ def tile_from_json(line: str, lineno: int | None = None) -> Tile:
     return Tile(id=tid, origin=origin, extent_m=extent, entities=tuple(entities))
 
 
-def write_tef(tiles: Iterable[Tile], path: str) -> None:
-    data = "".join(tile_to_json(t) + "\n" for t in tiles)
-    atomic_write_bytes(path, data.encode("utf-8"))
-
-
 def parse_tef_lines(lines: Iterable[str]) -> Iterator[Tile]:
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
@@ -240,11 +255,6 @@ def parse_tef_lines(lines: Iterable[str]) -> Iterator[Tile]:
             raise TefError(f"duplicate tile id {tile.id.key} (line {lineno})")
         seen.add(tile.id.key)
         yield tile
-
-
-def parse_tef(path: str) -> list[Tile]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return list(parse_tef_lines(fh))
 
 
 # -------------------------------------------------------------------- store

@@ -7,6 +7,7 @@ unit handed to masking and loss code: per sample a run of real tokens
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -294,27 +295,38 @@ def assemble_token_batch(
     """
     if not tiles:
         raise ValueError("cannot assemble an empty batch")
-    patch_boxes = image_patch_boxes(grid, include_class) if include_image else []
-    lens = []
     for t in tiles:
         if not t.entities:
             raise ValueError(f"tile {t.id.key} has no entities; filter upstream")
-        lens.append(len(t.entities) + len(patch_boxes))
+    patch_boxes = image_patch_boxes(grid, include_class) if include_image else []
+    patch_rows = np.array([posenc_input(pb) for pb in patch_boxes], dtype=np.float32).reshape(-1, 8)
+    lens = [len(t.entities) + len(patch_rows) for t in tiles]
     n, max_len, d = len(tiles), max(lens), table.dim
     modality = np.zeros((n, max_len), dtype=np.int32)
     boxes = np.zeros((n, max_len, 8), dtype=np.float32)
     payload = np.zeros((n, max_len, d), dtype=np.float32)
+    # Mean vector per distinct sequence of in-table tags, in the entity's tag
+    # order, so each is the same np.mean over the same rows as a fresh call.
+    means: dict[tuple[str, ...], np.ndarray] = {}
     for i, t in enumerate(tiles):
-        for j, e in enumerate(t.entities):
+        entity_boxes, entity_means = [], []
+        for e in t.entities:
             if e.minbox is None:
                 raise ValueError(f"entity {e.id} in tile {t.id.key} has no min-box")
-            modality[i, j] = MODALITY_ENTITY
-            boxes[i, j] = posenc_input(e.minbox)
-            payload[i, j] = entity_embed_mean(e, table, diagnostics)
-        base = len(t.entities)
-        for j, pb in enumerate(patch_boxes):
-            modality[i, base + j] = MODALITY_IMG
-            boxes[i, base + j] = posenc_input(pb)
+            entity_boxes.append(posenc_input(e.minbox))
+            hits = tuple(tag for tag in (tag_key(k, v) for k, v in e.tags) if tag in table.vectors)
+            if not hits and diagnostics is not None:
+                diagnostics.entities_without_vectors += 1
+            mean = means.get(hits)
+            if mean is None:
+                mean = means[hits] = entity_embed_mean(e, table)
+            entity_means.append(mean)
+        k = len(t.entities)
+        modality[i, :k] = MODALITY_ENTITY
+        boxes[i, :k] = entity_boxes
+        payload[i, :k] = entity_means
+        modality[i, k : lens[i]] = MODALITY_IMG
+        boxes[i, k : lens[i]] = patch_rows
     return TokenBatch(
         modality=modality,
         boxes=boxes,
@@ -347,18 +359,39 @@ def load_token_batch(path: str) -> TokenBatch:
     version, n, max_len, d = struct.unpack_from("<IIII", blob, 4)
     if version != BATCH_VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    sizes = [n * max_len, n * max_len * 8, n * max_len * d, n]
-    expected = 20 + 4 * sum(sizes)
+    shapes = [(n, max_len), (n, max_len, 8), (n, max_len, d), (n,)]
+    expected = 20 + 4 * sum(math.prod(shape) for shape in shapes)
     if len(blob) != expected:
         raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
     offset = 20
     arrays = []
-    for count in sizes:
-        arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=offset).copy())
+    for shape in shapes:
+        count = math.prod(shape)
+        arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy())
         offset += 4 * count
+    modality, boxes, payload, valid_len = arrays
+    # Integers travel as float32, so integrality and range are checked here.
+    bad_len = ~((valid_len >= 0) & (valid_len <= max_len) & (valid_len == np.floor(valid_len)))
+    if bad_len.any():
+        i = int(np.argmax(bad_len))
+        raise ValueError(f"{path}: sample {i}: valid_len {valid_len[i]} is not an integer in [0, {max_len}]")
+    bad_code = ~np.isin(modality, (MODALITY_PAD, MODALITY_ENTITY, MODALITY_IMG))
+    if bad_code.any():
+        i, j = np.argwhere(bad_code)[0]
+        raise ValueError(
+            f"{path}: sample {i}, slot {j}: modality code {modality[i, j]} is not PAD, ENTITY or IMG"
+        )
+    pad = np.arange(max_len)[None, :] >= valid_len[:, None]
+    dirty = (modality != 0) | (boxes != 0).any(axis=2) | (payload != 0).any(axis=2)
+    bad_pad = pad & dirty
+    if bad_pad.any():
+        i, j = np.argwhere(bad_pad)[0]
+        raise ValueError(
+            f"{path}: sample {i}, slot {j}: PAD slot at or beyond valid_len {int(valid_len[i])} is not all-zero"
+        )
     return TokenBatch(
-        modality=arrays[0].astype(np.int32).reshape(n, max_len),
-        boxes=arrays[1].reshape(n, max_len, 8),
-        payload=arrays[2].reshape(n, max_len, d),
-        valid_len=arrays[3].astype(np.int32),
+        modality=modality.astype(np.int32),
+        boxes=boxes,
+        payload=payload,
+        valid_len=valid_len.astype(np.int32),
     )

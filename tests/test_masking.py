@@ -118,6 +118,31 @@ def test_area_mask_boundary_centre_is_context():
     assert 1 in s.targets[0]
 
 
+def _first_area_box(seed, key, ratio):
+    rng = rng_for(seed, "area", key)
+    aspect = rng.uniform(1.0, 1.0)
+    w = min(1.0, math.sqrt(ratio * aspect))
+    h = min(1.0, math.sqrt(ratio / aspect))
+    return rng.uniform(0.0, 1.0 - w), rng.uniform(0.0, 1.0 - h), w, h
+
+
+def test_area_mask_compares_float32_centres_in_float32():
+    # A float32 centre equal to float32(x0) lies on the box edge, even where
+    # float32(x0) > x0 in float64: the bound is rounded to the centres' dtype,
+    # as a Python float is in `centres > x0`.
+    for key in map(str, range(100)):
+        x0, y0, w, h = _first_area_box(5, key, 0.4)
+        if float(np.float32(x0)) > x0:
+            break
+    edge = np.float32(x0)
+    cy = np.float32(y0 + h / 2)
+    centres = np.array([[[edge, cy], [np.nextafter(edge, np.float32(1)), cy]]], dtype=np.float32)
+    plan = area_mask(centres, [2], 0.4, 1, (1.0, 1.0), seed=5, sample_keys=[key])
+    s = plan.samples[0]
+    assert s.targets == ((1,),)
+    assert s.context == (0,)
+
+
 def test_area_mask_target_share_tracks_ratio():
     rng = np.random.default_rng(8)
     centres = rng.uniform(size=(1, 1000, 2))

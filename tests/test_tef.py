@@ -117,6 +117,37 @@ def test_parse_rejects_boolean_coordinates():
         tile_from_json(bad)
 
 
+_MULTI = (
+    '{"id":"16_0_0","extent_m":100.0,"origin":[0.0,0.0],"entities":['
+    '{"id":1,"kind":"way","tags":[],"geometry":{"type":"multipolygon","coords":[[[[0.0,0.0],'
+    '[1.0,0.0],[1.0,1.0],[0.0,0.0]]],[[[0.0,0.0],[0.5,0.0],[0.5,0.5],[0.0,0.0]]]]},'
+    '"minbox":[0,0,1,0,1,1,0,1],"visgraph":{"edges":[[0,1,"bnd"],[1,2,"bnd"]]}}]}'
+)
+
+
+@pytest.mark.parametrize("old,new,message", [
+    ("[0.5,0.5],[0.0,0.0]]]]", '[0.5,"x"],[0.0,0.0]]]]',
+     "tile.entities[0].geometry.coords[1][0][2][1]: expected number, got str (line 3)"),
+    ("[0.5,0.0],[0.5,0.5]", "[0.5,0.0,0.1],[0.5,0.5]",
+     "tile.entities[0].geometry.coords[1][0][1]: expected [x, y] (line 3)"),
+    ("[0.5,0.5],[0.0,0.0]]]]", "[0.5,0.5],[0.0,0.5]]]]",
+     "tile.entities[0].geometry.coords[1][0]: ring is not closed (line 3)"),
+    ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,true,0,1]',
+     "tile.entities[0].minbox[5]: expected number, got bool (line 3)"),
+    ("[0.5,0.0],[0.5,0.5]", "[0.5,0.0],[0.5,1" + "0" * 400 + "]",
+     "tile.entities[0].geometry.coords[1][0][2][1]: number out of float range (line 3)"),
+    ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,1,0,1' + "0" * 400 + "]",
+     "tile.entities[0].minbox[7]: number out of float range (line 3)"),
+    ('[1,2,"bnd"]', '[1,9,"bnd"]', "tile.entities[0].visgraph.edges[1]: vertex index out of range (line 3)"),
+    ('[1,2,"bnd"]', '[1,2.0,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
+])
+def test_parse_error_names_the_field_path(old, new, message):
+    assert tile_from_json(_MULTI).entities[0].minbox.corners[2] == (1.0, 1.0)
+    with pytest.raises(TefError) as info:
+        tile_from_json(_MULTI.replace(old, new), 3)
+    assert str(info.value) == message
+
+
 def test_parse_rejects_unknown_edge_label():
     line = (
         '{"id":"16_0_0","extent_m":100.0,"origin":[0.0,0.0],"entities":['

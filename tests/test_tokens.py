@@ -269,6 +269,79 @@ def test_assemble_rejects_bad_input():
         assemble_token_batch([_tile([boxless])], _table(), include_image=False)
 
 
+def _assemble_per_token(tiles, table, include_image, grid=PATCH_GRID, include_class=False,
+                        diagnostics=None):
+    """Reference: one posenc_input and one embedding mean per token, row by row."""
+    patch_boxes = image_patch_boxes(grid, include_class) if include_image else []
+    lens = [len(t.entities) + len(patch_boxes) for t in tiles]
+    n, max_len, d = len(tiles), max(lens), table.dim
+    modality = np.zeros((n, max_len), dtype=np.int32)
+    boxes = np.zeros((n, max_len, 8), dtype=np.float32)
+    payload = np.zeros((n, max_len, d), dtype=np.float32)
+    for i, t in enumerate(tiles):
+        for j, e in enumerate(t.entities):
+            modality[i, j] = MODALITY_ENTITY
+            boxes[i, j] = posenc_input(e.minbox)
+            payload[i, j] = entity_embed_mean(e, table, diagnostics)
+        base = len(t.entities)
+        for j, pb in enumerate(patch_boxes):
+            modality[i, base + j] = MODALITY_IMG
+            boxes[i, base + j] = posenc_input(pb)
+    return TokenBatch(modality=modality, boxes=boxes, payload=payload,
+                      valid_len=np.array(lens, dtype=np.int32))
+
+
+def _oracle_tiles():
+    # The three vectors sum to a different float64 value in each order, so a
+    # mean cached per tag set rather than per tag sequence shows in the bytes.
+    table = EmbeddingTable(dim=3, vectors={
+        "a=1": np.array([1e16, 0.1, -0.0]),
+        "b=1": np.array([1.0, 0.7, -0.0]),
+        "c=1": np.array([-1e16, 0.3, 2.0]),
+        "z=1": np.array([-0.0, -0.0, -0.0]),
+    })
+    rng = np.random.default_rng(41)
+    tag_pool = [("a", "1"), ("b", "1"), ("c", "1"), ("z", "1"), ("name", "mill"), ("shop", "bakery")]
+    tiles = []
+    for x in range(6):
+        entities = []
+        for eid in range(int(rng.integers(1, 9))):
+            tags = [tag_pool[k] for k in rng.permutation(len(tag_pool))[: int(rng.integers(0, 4))]]
+            c = rng.uniform(0.0, 1.0, size=(4, 2))
+            box = MinBox(corners=tuple((float(px), float(py)) for px, py in c))
+            entities.append(_entity(eid + 1, tags, box))
+        tiles.append(_tile(entities, x=18052 + x))
+    orders = [[("a", "1"), ("b", "1"), ("c", "1")], [("c", "1"), ("a", "1"), ("b", "1")],
+              [("b", "1"), ("name", "mill"), ("a", "1"), ("c", "1")], [("z", "1")], [("name", "mill")]]
+    tiles.append(_tile([_entity(100 + k, tags) for k, tags in enumerate(orders * 2)], x=18060))
+    return tiles, table
+
+
+@pytest.mark.parametrize("include_image,grid,include_class", [
+    (False, PATCH_GRID, False),
+    (True, PATCH_GRID, False),
+    (True, PATCH_GRID, True),
+    (True, 3, False),
+    (True, 3, True),
+])
+def test_assemble_matches_per_token_reference(tmp_path, include_image, grid, include_class):
+    tiles, table = _oracle_tiles()
+    got_diag, want_diag = EmbedDiagnostics(), EmbedDiagnostics()
+    got = assemble_token_batch(tiles, table, include_image, grid=grid, include_class=include_class,
+                               diagnostics=got_diag)
+    want = _assemble_per_token(tiles, table, include_image, grid=grid, include_class=include_class,
+                               diagnostics=want_diag)
+    dump_token_batch(got, str(tmp_path / "got.gjtb"))
+    dump_token_batch(want, str(tmp_path / "want.gjtb"))
+    assert (tmp_path / "got.gjtb").read_bytes() == (tmp_path / "want.gjtb").read_bytes()
+    assert got_diag.entities_without_vectors == want_diag.entities_without_vectors >= 4
+    # The reference's means depend on tag order, and np.mean of a lone -0.0
+    # row is +0.0, so returning a single hit's vector as is would show too.
+    last = want.payload[-1].view(np.uint32)
+    assert not np.array_equal(last[0], last[1])
+    assert (last[3] == 0).all()
+
+
 def test_batch_shape_validation():
     with pytest.raises(ValueError, match="boxes"):
         TokenBatch(
@@ -333,6 +406,47 @@ def test_truncated_header_raises_value_error_naming_file_and_size(tmp_path):
         assert message.startswith(f"{cut}: ")
         if size >= 4:
             assert re.search(rf"\b{size}\b", message[len(str(cut)):])
+
+
+def _patched_dump(tmp_path, array, index, value):
+    """A valid two-sample dump (max_len 6, d 4) with one float32 replaced."""
+    short = _tile([_entity(1, [("building", "yes")])], x=18053)
+    batch = assemble_token_batch([_five_entity_tile(), short], _table(), include_image=False)
+    path = tmp_path / "bad.gjtb"
+    dump_token_batch(batch, str(path))
+    fields = {"modality": (batch.modality,), "boxes": (batch.modality, batch.boxes),
+              "payload": (batch.modality, batch.boxes, batch.payload),
+              "valid_len": (batch.modality, batch.boxes, batch.payload, batch.valid_len)}[array]
+    start = 20 + 4 * sum(a.size for a in fields[:-1])
+    flat = np.ravel_multi_index(index, fields[-1].shape)
+    blob = bytearray(path.read_bytes())
+    blob[start + 4 * flat : start + 4 * flat + 4] = np.float32(value).tobytes()
+    path.write_bytes(bytes(blob))
+    return path
+
+
+@pytest.mark.parametrize("array,index,value,message", [
+    ("valid_len", (1,), 2.5, r"sample 1: valid_len 2.5 is not an integer in \[0, 5\]"),
+    ("valid_len", (0,), 6.0, r"sample 0: valid_len 6.0 is not an integer"),
+    ("valid_len", (1,), -1.0, r"sample 1: valid_len -1.0 is not an integer"),
+    ("valid_len", (0,), float("nan"), r"sample 0: valid_len nan"),
+    ("modality", (0, 2), 1.5, r"sample 0, slot 2: modality code 1.5 is not PAD, ENTITY or IMG"),
+    ("modality", (1, 0), 3.0, r"sample 1, slot 0: modality code 3.0"),
+    ("modality", (1, 3), MODALITY_ENTITY, r"sample 1, slot 3: PAD slot at or beyond valid_len 1 is not all-zero"),
+    ("boxes", (1, 4, 7), 0.5, r"sample 1, slot 4: PAD slot"),
+    ("payload", (1, 1, 0), -2.0, r"sample 1, slot 1: PAD slot"),
+], ids=["len-fraction", "len-above-max", "len-negative", "len-nan", "code-fraction", "code-unknown",
+        "pad-modality", "pad-box", "pad-payload"])
+def test_load_rejects_inconsistent_dump(tmp_path, array, index, value, message):
+    path = _patched_dump(tmp_path, array, index, value)
+    with pytest.raises(ValueError, match=message) as info:
+        load_token_batch(str(path))
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_load_accepts_the_dumps_it_writes(tmp_path):
+    path = _patched_dump(tmp_path, "payload", (0, 0, 0), 7.0)  # a valid slot may hold anything
+    assert load_token_batch(str(path)).payload[0, 0, 0] == 7.0
 
 
 def test_ids_do_not_survive_serialization(tmp_path):
