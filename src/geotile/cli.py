@@ -3,25 +3,34 @@
 Every command is deterministic given its flags: one global --seed feeds
 per-stage derived seeds, all diagnostics go to stderr, and outputs are
 written via temp-then-rename so an interrupted run leaves no partial files.
-Set GEOTILE_LOG=debug|info|warning to adjust verbosity.
+Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
+command logs its name, exit code and wall time.
+
+Each command imports the modules it runs inside its own body, so a stage
+loads only what it uses: ingest runs without numpy, and synth-task without
+the geometry, token, masking and training modules.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import logging
 import os
 import sys
+import time
 from collections import Counter
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import evaluation, ingest, masking, pbf, process, tasks, tef, tokens, training
+from . import ingest, tef
+from .model import tag_key
 from .seeds import derive_seed
 
-log = logging.getLogger(__name__)
+if TYPE_CHECKING:
+    from .tokens import TokenBatch
+
+# Named, not __name__: under `python -m geotile.cli` that would be __main__.
+log = logging.getLogger("geotile.cli")
 
 
 def _stage_seed(seed: int, stage: str) -> int:
@@ -36,6 +45,8 @@ def _print(line: str) -> None:
 
 
 def cmd_ingest(args) -> int:
+    from . import pbf
+
     data = pbf.read_pbf(args.pbf)
     tiles, stats = ingest.ingest_elements(data, zoom=args.zoom)
     tef.write_store(tiles, args.store)
@@ -45,6 +56,9 @@ def cmd_ingest(args) -> int:
 
 
 def _process_group(store: str, name: str, eps_m: float, seed: int, lo: int, hi: int):
+    # Imported here as well as in cmd_process: pool workers call this directly.
+    from . import process
+
     worked = [
         process.process_tile(t, eps_m=eps_m, seed=seed)
         for t in tef.read_group_file(os.path.join(store, name))
@@ -53,18 +67,23 @@ def _process_group(store: str, name: str, eps_m: float, seed: int, lo: int, hi: 
 
 
 def cmd_process(args) -> int:
+    from . import process
+
     seed = _stage_seed(args.seed, "process")
+    eps_m = process.DEFAULT_EPS_M if args.eps_m is None else args.eps_m
     index = tef.read_store_index(args.store)
     names = sorted(set(index.values()))
     jobs = max(1, args.jobs)
     results = []
     if jobs == 1 or len(names) <= 1:
         for name in names:
-            results.append(_process_group(args.store, name, args.eps_m, seed, args.min_entities, args.max_entities))
+            results.append(_process_group(args.store, name, eps_m, seed, args.min_entities, args.max_entities))
     else:
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
-                pool.submit(_process_group, args.store, name, args.eps_m, seed, args.min_entities, args.max_entities)
+                pool.submit(_process_group, args.store, name, eps_m, seed, args.min_entities, args.max_entities)
                 for name in names
             ]
             results = [f.result() for f in futures]
@@ -81,6 +100,8 @@ def cmd_process(args) -> int:
 
 
 def cmd_synth_task(args) -> int:
+    from . import tasks
+
     spec = tasks.load_task(args.task)
     seed = _stage_seed(args.seed, "synth-task")
     tiles = tef.read_store(args.store)
@@ -108,7 +129,7 @@ def cmd_synth_task(args) -> int:
     for t in tiles:
         if t.id.key in result.labels:
             for e in t.entities:
-                counts.update(tokens.tag_key(k, v) for k, v in e.tags)
+                counts.update(tag_key(k, v) for k, v in e.tags)
     _print("top tags:")
     for tag, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]:
         _print(f"  {tag}  {n}")
@@ -116,6 +137,8 @@ def cmd_synth_task(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from . import tokens
+
     table = tokens.load_embeddings(args.embeddings)
     tiles = [t for t in tef.read_store(args.store) if t.entities]
     if not tiles:
@@ -132,7 +155,9 @@ def cmd_encode(args) -> int:
     return 0
 
 
-def _load_batch_with_ids(path: str) -> tokens.TokenBatch:
+def _load_batch_with_ids(path: str) -> TokenBatch:
+    from . import tokens
+
     batch = tokens.load_token_batch(path)
     sidecar = path + ".ids"
     if os.path.exists(sidecar):
@@ -144,6 +169,10 @@ def _load_batch_with_ids(path: str) -> tokens.TokenBatch:
 
 
 def cmd_mask_plan(args) -> int:
+    import numpy as np
+
+    from . import masking
+
     batch = _load_batch_with_ids(args.batch)
     seed = _stage_seed(args.seed, "mask-plan")
     cfg = masking.MaskConfig(seed=seed)
@@ -173,6 +202,8 @@ def cmd_mask_plan(args) -> int:
 
 
 def cmd_loss_check(args) -> int:
+    from . import tokens, training
+
     pred = tokens.load_token_batch(args.pred)
     target = tokens.load_token_batch(args.target)
     if pred.payload.shape != target.payload.shape:
@@ -201,6 +232,8 @@ def _read_columns(path: str, value_name: str) -> dict[str, float]:
 
 
 def cmd_eval(args) -> int:
+    from . import evaluation, tasks
+
     if args.scoreboard:
         board: dict[str, dict[str, float]] = {}
         with open(args.scoreboard, "r", encoding="utf-8") as fh:
@@ -241,20 +274,25 @@ def cmd_eval(args) -> int:
 
 
 def cmd_knn(args) -> int:
+    import numpy as np
+
+    from . import evaluation, tokens
+
+    k = evaluation.KNN_DEFAULT_K if args.k is None else args.k
     table = tokens.load_embeddings(args.vectors)
     if args.query_id not in table.vectors:
         raise ValueError(f"query id {args.query_id!r} not in {args.vectors}")
     ids = sorted(table.vectors)
     corpus = np.stack([table.vectors[i] for i in ids])
     neighbors = evaluation.knn(
-        table.vectors[args.query_id], corpus, k=args.k, metric=args.metric,
+        table.vectors[args.query_id], corpus, k=k, metric=args.metric,
         ids=ids, query_id=args.query_id,
     )
     _print(json.dumps(
         {
             "query": args.query_id,
             "metric": args.metric,
-            "k": args.k,
+            "k": k,
             "neighbors": [{"id": i, "distance": d} for i, d in neighbors],
         },
         separators=(",", ":"),
@@ -263,6 +301,8 @@ def cmd_knn(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from . import training
+
     cfg = training.ScheduleConfig(
         total_steps=args.total_steps,
         lr_base=args.lr_base,
@@ -298,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("process", help="simplify, attach min-boxes and visibility graphs, filter outliers")
     p.add_argument("store")
     p.add_argument("out")
-    p.add_argument("--eps-m", type=float, default=process.DEFAULT_EPS_M)
+    p.add_argument("--eps-m", type=float, help="simplification tolerance in metres (default: process.DEFAULT_EPS_M)")
     p.add_argument("--min-entities", type=int, default=ingest.MIN_TILE_ENTITIES)
     p.add_argument("--max-entities", type=int, default=ingest.MAX_TILE_ENTITIES)
     p.add_argument("--jobs", type=int, default=1)
@@ -343,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("knn", help="exact nearest neighbours in a vector table")
     p.add_argument("--vectors", required=True)
     p.add_argument("--query-id", required=True)
-    p.add_argument("--k", type=int, default=evaluation.KNN_DEFAULT_K)
+    p.add_argument("--k", type=int, help="neighbours to return (default: evaluation.KNN_DEFAULT_K)")
     p.add_argument("--metric", choices=("l2", "cosine"), default="l2")
     p.set_defaults(func=cmd_knn)
 
@@ -365,11 +405,14 @@ def main(argv=None) -> int:
     level = os.environ.get("GEOTILE_LOG", "warning").upper()
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
+        code = args.func(args)
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"geotile: {exc}\n")
-        return 1
+        code = 1
+    log.info("%s exited %d after %.3f s", args.command, code, time.perf_counter() - start)
+    return code
 
 
 if __name__ == "__main__":

@@ -13,14 +13,16 @@ from __future__ import annotations
 import logging
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geo import TileId, tile_extent_m, tile_origin, geo_to_norm, MAX_LATITUDE
 from .model import Coord, Entity, Geometry, Tile
-from .pbf import PbfData, RawWay
 from .seeds import rng_for
 from .tef import tile_group
+
+if TYPE_CHECKING:
+    from .pbf import PbfData, RawWay
 
 log = logging.getLogger(__name__)
 
@@ -449,7 +451,6 @@ class IngestStats:
     placements: int = 0
     degenerate_dropped: int = 0
     tiles: int = 0
-    extra: dict = field(default_factory=dict)
 
     def lines(self) -> list[str]:
         rows = [
@@ -464,7 +465,6 @@ class IngestStats:
             ("degenerate clips dropped", self.degenerate_dropped),
             ("tiles", self.tiles),
         ]
-        rows.extend(self.extra.items())
         width = max(len(name) for name, _ in rows)
         return [f"{name:<{width}}  {count}" for name, count in rows]
 
@@ -519,11 +519,6 @@ def group_tiles(tile_ids: Iterable[TileId]) -> dict[tuple[int, int, int], list[T
     for tid in tile_ids:
         groups[tile_group(tid)].append(tid)
     return {k: sorted(v) for k, v in sorted(groups.items())}
-
-
-def correlate(ids_a: Iterable[str], ids_b: Iterable[str]) -> list[str]:
-    """Tile ids present in both collections, sorted."""
-    return sorted(set(ids_a) & set(ids_b))
 
 
 def split_groups(

@@ -22,6 +22,11 @@ EDGE_BOUNDARY = "bnd"
 EDGE_VISIBLE = "vis"
 
 
+def tag_key(key: str, value: str) -> str:
+    """The canonical ``key=value`` string of one tag."""
+    return f"{key}={value}"
+
+
 def _as_coord(p: Sequence[float]) -> Coord:
     return (float(p[0]), float(p[1]))
 

@@ -5,7 +5,9 @@ types the OSM container uses (BlobHeader, Blob, HeaderBlock, PrimitiveBlock
 with dense nodes, ways and relations).  Reading is two-pass: raw elements
 first, then node coordinates are resolved into ways; elements with
 unresolvable references are dropped and counted.  Malformed input raises
-PbfError carrying the byte offset of the failure.
+PbfError carrying the byte offset of the failure.  Header and blob sizes
+are held to the format's limits, and a compressed blob is inflated no
+further than its declared raw_size.
 
 The writer exists so tests and demos can author small fixture files; it
 emits a single zlib-compressed primitive block per call.
@@ -22,6 +24,11 @@ log = logging.getLogger(__name__)
 
 COORD_SCALE = 1e-9
 DEFAULT_GRANULARITY = 100
+
+# The format's limits: a BlobHeader is at most 64 KiB, a Blob's data and
+# its decompressed contents at most 32 MiB.
+MAX_BLOB_HEADER_SIZE = 64 * 1024
+MAX_BLOB_SIZE = 32 * 1024 * 1024
 
 _SUPPORTED_FEATURES = {"OsmSchema-V0.6", "DenseNodes"}
 
@@ -337,18 +344,37 @@ def _parse_header_block(buf: bytes, base: int) -> None:
                 raise PbfError(f"unsupported required feature {feature!r}", base)
 
 
+def _inflate(data: bytes, raw_size: int | None, base: int) -> bytes:
+    """zlib-decompress at most raw_size bytes (capped at MAX_BLOB_SIZE), and exactly raw_size if given."""
+    limit = MAX_BLOB_SIZE if raw_size is None else min(raw_size, MAX_BLOB_SIZE)
+    inflater = zlib.decompressobj()
+    try:
+        # One byte over the limit tells an oversized blob from an exact one.
+        raw = inflater.decompress(data, limit + 1)
+    except zlib.error as exc:
+        raise PbfError(f"bad zlib data: {exc}", base) from None
+    if len(raw) > limit:
+        raise PbfError(f"blob inflates past {limit} bytes", base)
+    if not inflater.eof:
+        raise PbfError("bad zlib data: incomplete or truncated stream", base)
+    if raw_size is not None and len(raw) != raw_size:
+        raise PbfError(f"blob inflates to {len(raw)} bytes, not its raw_size {raw_size}", base)
+    return raw
+
+
 def _decode_blob(buf: bytes, base: int) -> bytes:
-    raw = None
+    raw = compressed = raw_size = None
     for fnum, wt, val in _fields(buf, base):
         if fnum == 1 and wt == 2:
-            raw = val
+            raw, compressed = val, None
+        elif fnum == 2 and wt == 0:
+            raw_size = val
         elif fnum == 3 and wt == 2:
-            try:
-                raw = zlib.decompress(val)
-            except zlib.error as exc:
-                raise PbfError(f"bad zlib data: {exc}", base) from None
+            raw, compressed = None, val
         elif fnum in (4, 5, 6, 7) and wt == 2:
             raise PbfError("unsupported blob compression", base)
+    if compressed is not None:
+        return _inflate(compressed, raw_size, base)
     if raw is None:
         raise PbfError("blob carries no data", base)
     return raw
@@ -370,6 +396,8 @@ def read_pbf(path: str) -> PbfData:
         if pos + 4 > len(data):
             raise PbfError("truncated blob header length", pos)
         (header_len,) = struct.unpack(">I", data[pos : pos + 4])
+        if header_len > MAX_BLOB_HEADER_SIZE:
+            raise PbfError(f"blob header of {header_len} bytes exceeds {MAX_BLOB_HEADER_SIZE}", pos)
         header_start = pos + 4
         if header_start + header_len > len(data):
             raise PbfError("truncated blob header", pos)
@@ -378,10 +406,12 @@ def read_pbf(path: str) -> PbfData:
         for fnum, wt, val in _fields(data[header_start : header_start + header_len], header_start):
             if fnum == 1 and wt == 2:
                 blob_type = val.decode("utf-8")
-            elif fnum == 3:
+            elif fnum == 3 and wt == 0:
                 datasize = val
         if blob_type is None or datasize is None:
             raise PbfError("blob header missing type or datasize", pos)
+        if datasize > MAX_BLOB_SIZE:
+            raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
         blob_start = header_start + header_len
         if blob_start + datasize > len(data):
             raise PbfError("truncated blob", blob_start)

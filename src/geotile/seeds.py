@@ -9,8 +9,10 @@ not be used here.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def derive_seed(seed: int, *parts: object) -> int:
@@ -24,4 +26,7 @@ def derive_seed(seed: int, *parts: object) -> int:
 
 
 def rng_for(seed: int, *parts: object) -> np.random.Generator:
+    # numpy is imported here so that stdlib-only stages never load it.
+    import numpy as np
+
     return np.random.default_rng(derive_seed(seed, *parts))

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import Entity, MinBox, Tile
+from .model import Entity, MinBox, Tile, tag_key
 
 MODALITY_PAD = 0
 MODALITY_ENTITY = 1
@@ -27,10 +27,6 @@ PATCH_GRID = 14
 DROPOUT_P = 0.3
 BATCH_MAGIC = b"GJTB"
 BATCH_VERSION = 1
-
-
-def tag_key(key: str, value: str) -> str:
-    return f"{key}={value}"
 
 
 @dataclass(frozen=True)

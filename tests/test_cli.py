@@ -2,13 +2,16 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import geotile
 from conftest import write_grid_pbf
-from geotile import tasks, tef, tokens
-from geotile.cli import main
+from geotile import evaluation, process, tasks, tef, tokens
+from geotile.cli import build_parser, main
 from geotile.tokens import EmbeddingTable
 
 
@@ -58,6 +61,13 @@ def test_process_jobs_matches_serial(tmp_path):
     assert main(["process", store, str(tmp_path / "serial")]) == 0
     assert main(["process", store, str(tmp_path / "forked"), "--jobs", "2"]) == 0
     assert _store_bytes(str(tmp_path / "serial")) == _store_bytes(str(tmp_path / "forked"))
+
+
+def test_process_default_eps_is_the_library_default(pipeline):
+    tmp_path, store, proc = pipeline
+    explicit = str(tmp_path / "explicit")
+    assert main(["process", store, explicit, "--eps-m", repr(process.DEFAULT_EPS_M)]) == 0
+    assert _store_bytes(proc) == _store_bytes(explicit)
 
 
 def test_synth_task_all_bundled(pipeline):
@@ -211,6 +221,17 @@ def test_knn_command(tmp_path, capsys):
     assert payload["neighbors"][0]["distance"] == pytest.approx(0.1, abs=1e-12)
 
 
+def test_knn_default_k_is_the_library_default(tmp_path, capsys):
+    n = evaluation.KNN_DEFAULT_K + 2
+    vectors = {f"v{i}": np.array([float(i), 0.0]) for i in range(n)}
+    path = tmp_path / "vecs.txt"
+    tokens.save_embeddings(EmbeddingTable(dim=2, vectors=vectors), str(path))
+    assert main(["knn", "--vectors", str(path), "--query-id", "v0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["k"] == evaluation.KNN_DEFAULT_K
+    assert len(payload["neighbors"]) == evaluation.KNN_DEFAULT_K
+
+
 def test_schedule_command(tmp_path, capsys):
     dump = tmp_path / "sched.csv"
     assert main(["schedule", "--total-steps", "10", "--dump", str(dump)]) == 0
@@ -244,3 +265,60 @@ def test_errors_exit_one(tmp_path, capsys):
     assert "geotile:" in capsys.readouterr().err
     assert main(["synth-task", str(tmp_path / "nostore"), "--task", "parking"]) == 1
     assert "geotile:" in capsys.readouterr().err
+
+
+# ------------------------------------------------- what each command loads
+
+_LOADED = """
+import json, sys
+import geotile.cli
+imported = sorted(sys.modules)
+code = geotile.cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "imported": imported, "ran": sorted(sys.modules)}))
+"""
+
+
+def _fresh_run(argv, **env):
+    """Run cli.main in a new interpreter; its exit code, modules loaded and stderr."""
+    src = os.path.dirname(os.path.dirname(geotile.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "GEOTILE_LOG"} | {"PYTHONPATH": src} | env
+    done = subprocess.run([sys.executable, "-c", _LOADED, *argv], capture_output=True, text=True, env=env, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    return result["code"], set(result["imported"]), set(result["ran"]), done.stderr
+
+
+def test_ingest_never_loads_numpy(tmp_path):
+    write_grid_pbf(tmp_path / "grid.pbf", 18052, 25956, 2, 2)
+    code, imported, ran, err = _fresh_run(["ingest", str(tmp_path / "grid.pbf"), str(tmp_path / "raw")])
+    assert code == 0 and err == ""  # nothing at the default warning level
+    assert "numpy" not in imported
+    assert "numpy" not in ran
+    assert len(tef.read_store(str(tmp_path / "raw"))) == 4
+
+
+def test_synth_task_loads_only_what_it_runs(pipeline):
+    tmp_path, store, proc = pipeline
+    code, _, ran, _ = _fresh_run(["synth-task", proc, "--task", "bridge", "--out-dir", str(tmp_path / "t")])
+    assert code == 0
+    unused = {"masking", "training", "evaluation", "process", "geometry", "visibility", "tokens", "pbf"}
+    assert not {f"geotile.{name}" for name in unused} & ran
+
+
+def test_info_logging_reports_each_command(tmp_path):
+    write_grid_pbf(tmp_path / "grid.pbf", 18052, 25956, 1, 1)
+    code, _, _, err = _fresh_run(["ingest", str(tmp_path / "grid.pbf"), str(tmp_path / "raw")], GEOTILE_LOG="info")
+    assert code == 0
+    assert err.startswith("INFO:geotile.cli:ingest exited 0 after ")
+    code, _, _, err = _fresh_run(["ingest", str(tmp_path / "missing.pbf"), str(tmp_path / "out")], GEOTILE_LOG="info")
+    assert code == 1
+    assert "INFO:geotile.cli:ingest exited 1 after " in err
+
+
+def test_every_subcommand_has_help(capsys):
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert {"ingest", "process", "synth-task", "encode"} <= set(commands)
+    for command in commands:
+        with pytest.raises(SystemExit) as done:
+            main([command, "--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: geotile {command}")

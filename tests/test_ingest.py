@@ -13,7 +13,6 @@ from geotile.ingest import (
     clip_entity_unit,
     clip_polyline_unit,
     clip_ring_unit,
-    correlate,
     elements_to_entities,
     filter_outliers,
     group_tiles,
@@ -440,12 +439,6 @@ def test_group_tiles_buckets_by_block():
     assert list(groups) == sorted(groups)
     assert all(members == sorted(members) for members in groups.values())
     assert sum(len(v) for v in groups.values()) == len(ids)
-
-
-def test_correlate_sorted_intersection():
-    a = ["16_2_1", "16_1_1", "16_3_9"]
-    b = ["16_3_9", "16_1_1", "16_8_8"]
-    assert correlate(a, b) == ["16_1_1", "16_3_9"]
 
 
 # ------------------------------------------------------------------ splits

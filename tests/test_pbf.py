@@ -10,7 +10,10 @@ import zlib
 import numpy as np
 import pytest
 
+from geotile import pbf
 from geotile.pbf import (
+    MAX_BLOB_HEADER_SIZE,
+    MAX_BLOB_SIZE,
     PbfError,
     RawNode,
     RawRelation,
@@ -136,6 +139,99 @@ def test_zlib_blob_variant(tmp_path):
     data = read_pbf(str(path))
     assert [n.id for n in data.nodes] == [5]
     assert data.nodes[0].tags == (("building", "yes"),)
+
+
+def _zlib_blob(blob_type, compressed, raw_size=None):
+    blob = _ld(3, compressed)
+    if raw_size is not None:
+        blob = _varint_field(2, raw_size) + blob
+    header = _ld(1, blob_type.encode()) + _varint_field(3, len(blob))
+    return struct.pack(">I", len(header)) + header + blob
+
+
+def test_zlib_blob_sizes(tmp_path):
+    block = _ld(4, b"OsmSchema-V0.6") + _ld(4, b"DenseNodes")
+    path = tmp_path / "z.osm.pbf"
+    for raw_size in (None, len(block)):
+        path.write_bytes(_zlib_blob("OSMHeader", zlib.compress(block), raw_size))
+        assert read_pbf(str(path)).nodes == []
+    for raw_size, match in ((len(block) + 1, "not its raw_size"), (len(block) - 1, "inflates past"),
+                            (0, "inflates past 0 bytes")):
+        path.write_bytes(_zlib_blob("OSMHeader", zlib.compress(block), raw_size))
+        with pytest.raises(PbfError, match=match) as err:
+            read_pbf(str(path))
+        assert err.value.offset > 0
+    path.write_bytes(_zlib_blob("OSMHeader", zlib.compress(block)[:-5], len(block)))
+    with pytest.raises(PbfError, match="truncated stream"):
+        read_pbf(str(path))
+    # An empty blob may declare raw_size 0.
+    path.write_bytes(_zlib_blob("OSMHeader", zlib.compress(b""), 0))
+    assert read_pbf(str(path)).nodes == []
+
+
+def test_decompression_bomb_is_cut_at_raw_size(tmp_path, monkeypatch):
+    bomb = zlib.compress(b"\0" * (8 << 20), 9)  # 8 MiB of zeros in about 8 KB
+    assert len(bomb) < 16 << 10
+    requested = []
+    real = zlib.decompressobj
+
+    class Spy:
+        def __init__(self):
+            self._inflater = real()
+
+        def decompress(self, data, max_length=0):
+            requested.append(max_length)
+            return self._inflater.decompress(data, max_length)
+
+        def __getattr__(self, name):
+            return getattr(self._inflater, name)
+
+    monkeypatch.setattr(zlib, "decompressobj", Spy)
+    path = tmp_path / "bomb.osm.pbf"
+    data = _header_blob() + _zlib_blob("OSMData", bomb, 100)
+    path.write_bytes(data)
+    with pytest.raises(PbfError, match="inflates past 100 bytes") as err:
+        read_pbf(str(path))
+    # The offset is the blob's first byte.
+    assert err.value.offset == len(data) - len(_varint_field(2, 100) + _ld(3, bomb))
+    assert requested == [101]
+    # Without raw_size the cap is the format's blob limit.
+    requested.clear()
+    monkeypatch.setattr(pbf, "MAX_BLOB_SIZE", 1 << 20)
+    path.write_bytes(_header_blob() + _zlib_blob("OSMData", bomb))
+    with pytest.raises(PbfError, match=f"inflates past {1 << 20} bytes"):
+        read_pbf(str(path))
+    assert requested == [(1 << 20) + 1]
+
+
+def test_raw_size_above_blob_limit_is_capped(tmp_path, monkeypatch):
+    monkeypatch.setattr(pbf, "MAX_BLOB_SIZE", 1000)
+    path = tmp_path / "big.osm.pbf"
+    path.write_bytes(_zlib_blob("OSMData", zlib.compress(b"\0" * 1001), 1001))
+    with pytest.raises(PbfError, match="inflates past 1000 bytes"):
+        read_pbf(str(path))
+    path.write_bytes(_zlib_blob("OSMData", zlib.compress(b"\0" * 1000), 1001))
+    with pytest.raises(PbfError, match="inflates to 1000 bytes, not its raw_size 1001"):
+        read_pbf(str(path))
+
+
+def test_oversized_blob_header_and_datasize_are_rejected(tmp_path):
+    path = tmp_path / "big.osm.pbf"
+    header = _ld(1, b"OSMData") + _ld(9, b"x" * MAX_BLOB_HEADER_SIZE)
+    path.write_bytes(struct.pack(">I", len(header)) + header)
+    with pytest.raises(PbfError, match=f"blob header of {len(header)} bytes exceeds") as err:
+        read_pbf(str(path))
+    assert err.value.offset == 0
+    header = _ld(1, b"OSMData") + _varint_field(3, MAX_BLOB_SIZE + 1)
+    path.write_bytes(_header_blob() + struct.pack(">I", len(header)) + header + b"\0" * 64)
+    with pytest.raises(PbfError, match=f"blob of {MAX_BLOB_SIZE + 1} bytes exceeds") as err:
+        read_pbf(str(path))
+    assert err.value.offset == len(_header_blob())
+    # A length-delimited datasize is no datasize.
+    header = _ld(1, b"OSMData") + _ld(3, b"\x05")
+    path.write_bytes(struct.pack(">I", len(header)) + header)
+    with pytest.raises(PbfError, match="missing type or datasize"):
+        read_pbf(str(path))
 
 
 # -------------------------------------------------------------- round trip
