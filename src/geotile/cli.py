@@ -7,8 +7,8 @@ Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
 command logs its name, exit code and wall time.
 
 Each command imports the modules it runs inside its own body, so a stage
-loads only what it uses: ingest runs without numpy, and synth-task without
-the geometry, token, masking and training modules.
+loads only what it uses: ingest and synth-task run without numpy, and
+synth-task without the geometry, token, masking and training modules.
 """
 
 from __future__ import annotations
@@ -218,32 +218,13 @@ def cmd_loss_check(args) -> int:
     return 0
 
 
-def _read_columns(path: str, value_name: str) -> dict[str, float]:
-    out: dict[str, float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != f"tile_id,{value_name}":
-            raise ValueError(f"{path}: expected 'tile_id,{value_name}' header, got {header!r}")
-        for line in fh:
-            if line.strip():
-                tid, value = line.rstrip("\n").split(",", 1)
-                out[tid] = float(value)
-    return out
-
-
 def cmd_eval(args) -> int:
     from . import evaluation, tasks
 
     if args.scoreboard:
         board: dict[str, dict[str, float]] = {}
-        with open(args.scoreboard, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "model,task,mae":
-                raise ValueError(f"{args.scoreboard}: expected 'model,task,mae' header")
-            for line in fh:
-                if line.strip():
-                    model, task, value = line.rstrip("\n").split(",")
-                    board.setdefault(model, {})[task] = float(value)
+        for (model, task), value in tasks.read_value_csv(args.scoreboard, "model,task,mae").items():
+            board.setdefault(model, {})[task] = value
         sb = evaluation.score_models(board)
         sys.stdout.write(evaluation.score_table(sb))
         if args.out:
@@ -255,7 +236,7 @@ def cmd_eval(args) -> int:
         return 0
     if not args.pred or not args.labels:
         raise ValueError("eval needs either --scoreboard or both --pred and --labels")
-    preds = _read_columns(args.pred, "prediction")
+    preds = tasks.read_labels(args.pred, "prediction")
     labels = tasks.read_labels(args.labels)
     shared = sorted(set(preds) & set(labels))
     if not shared:

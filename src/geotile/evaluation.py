@@ -34,14 +34,6 @@ def clamp_predictions(preds: Sequence[float], clamp_range: tuple[float, float]) 
     return np.clip(np.asarray(preds, dtype=np.float64), lo, hi)
 
 
-def dummy_median(train_labels: Sequence[float]) -> float:
-    """Constant baseline: the training median (middle-pair mean for even n)."""
-    labels = np.asarray(train_labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ValueError("cannot take the median of nothing")
-    return float(np.median(labels))
-
-
 def harmonic_mean(values: Sequence[float]) -> float:
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .geo import TileId, tile_extent_m, tile_origin, geo_to_norm, MAX_LATITUDE
 from .model import Coord, Entity, Geometry, Tile
-from .seeds import rng_for
+from .seeds import pcg_for
 from .tef import tile_group
 
 if TYPE_CHECKING:
@@ -537,7 +537,7 @@ def split_groups(
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     keys = sorted(group_keys)
-    rng = rng_for(seed, "split")
+    rng = pcg_for(seed, "split")
     rng.shuffle(keys)
     n = len(keys)
     quotas = [n * r for r in ratios]

@@ -141,12 +141,6 @@ class Entity:
     minbox: MinBox | None = None
     visgraph: VisibilityGraph | None = None
 
-    def has_tags(self) -> bool:
-        return len(self.tags) > 0
-
-    def with_tags(self, tags: Sequence[tuple[str, str]]) -> "Entity":
-        return replace(self, tags=tuple((str(k), str(v)) for k, v in tags))
-
 
 @dataclass(frozen=True)
 class Tile:

@@ -160,12 +160,16 @@ def _delta_decode(values: list[int]) -> list[int]:
 # ------------------------------------------------------------------- reading
 
 
+def _text(val: bytes, what: str, base: int) -> str:
+    try:
+        return val.decode("utf-8")
+    except UnicodeDecodeError:
+        raise PbfError(f"{what} is not valid UTF-8", base) from None
+
+
 def _parse_string_table(buf: bytes, base: int) -> list[str]:
-    table = []
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 2:
-            table.append(val.decode("utf-8"))
-    return table
+    fields = _fields(buf, base)
+    return [_text(val, "string table entry", base) for fnum, wt, val in fields if fnum == 1 and wt == 2]
 
 
 def _tags_from_indices(keys, vals, table, base) -> tuple[tuple[str, str], ...]:
@@ -339,7 +343,7 @@ def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
 def _parse_header_block(buf: bytes, base: int) -> None:
     for fnum, wt, val in _fields(buf, base):
         if fnum == 4 and wt == 2:
-            feature = val.decode("utf-8")
+            feature = _text(val, "required feature", base)
             if feature not in _SUPPORTED_FEATURES:
                 raise PbfError(f"unsupported required feature {feature!r}", base)
 
@@ -405,7 +409,7 @@ def read_pbf(path: str) -> PbfData:
         datasize = None
         for fnum, wt, val in _fields(data[header_start : header_start + header_len], header_start):
             if fnum == 1 and wt == 2:
-                blob_type = val.decode("utf-8")
+                blob_type = _text(val, "blob type", header_start)
             elif fnum == 3 and wt == 0:
                 datasize = val
         if blob_type is None or datasize is None:

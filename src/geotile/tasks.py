@@ -13,12 +13,10 @@ import logging
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .model import Entity, Tile
-from .seeds import rng_for
+from .seeds import pcg_for
 
 log = logging.getLogger(__name__)
 
@@ -264,7 +262,7 @@ def synthesize_task(tiles: Sequence[Tile], spec: TaskSpec, seed: int = 0) -> Tas
             raise ValueError(f"task {spec.name}: tile {tile.id.key} has no label and pruning is off")
         labelled.append((tile.id.key, label))
     if spec.rebalance_zero_keep is not None:
-        rng = rng_for(seed, "rebalance", spec.name)
+        rng = pcg_for(seed, "rebalance", spec.name)
         kept = []
         for tid, label in labelled:
             if label == 0.0 and rng.uniform() >= spec.rebalance_zero_keep:
@@ -285,60 +283,34 @@ def write_labels(labels: dict[str, float], path: str) -> None:
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def read_labels(path: str) -> dict[str, float]:
-    labels: dict[str, float] = {}
+def read_value_csv(path: str, header: str) -> dict[tuple[str, ...], float]:
+    """Map each line's leading columns, a unique key, to its last column as a float.
+
+    A bad header, short line, non-number or repeated key raises ValueError at ``path:line``.
+    """
+    names = header.split(",")
+    out: dict[tuple[str, ...], float] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "tile_id,label":
-            raise ValueError(f"{path}: expected 'tile_id,label' header, got {header!r}")
-        for line in fh:
+        got = fh.readline().strip()
+        if got != header:
+            raise ValueError(f"{path}:1: expected {header!r} header, got {got!r}")
+        for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
-            tid, value = line.rstrip("\n").split(",", 1)
-            labels[tid] = float(value)
-    return labels
+            *key, value = fields = line.rstrip("\n").split(",", len(names) - 1)
+            if len(fields) != len(names):
+                raise ValueError(f"{path}:{lineno}: expected {header!r} fields, got {line.strip()!r}")
+            try:
+                number = float(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {names[-1]} {value!r} is not a number") from None
+            key = tuple(key)
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: duplicate {','.join(names[:-1])} {','.join(key)!r}")
+            out[key] = number
+    return out
 
 
-# ----------------------------------------------------------- co-occurrence
-
-
-def cooccurrence(tiles: Iterable[Tile], vocab: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric tag co-occurrence counts over a fixed vocabulary.
-
-    intra counts unordered tag pairs on the same entity, once per entity.
-    inter counts unordered pairs carried by two distinct entities of the same
-    tile, once per tile; its diagonal is the number of tiles where two
-    different entities share the tag.
-    """
-    index = {tag: i for i, tag in enumerate(vocab)}
-    v = len(index)
-    intra = np.zeros((v, v), dtype=np.int64)
-    inter = np.zeros((v, v), dtype=np.int64)
-    for tile in tiles:
-        per_entity: list[set[int]] = []
-        carriers: dict[int, set[int]] = {}
-        for pos, e in enumerate(tile.entities):
-            present = {index[f"{k}={v_}"] for k, v_ in e.tags if f"{k}={v_}" in index}
-            per_entity.append(present)
-            for t in present:
-                carriers.setdefault(t, set()).add(pos)
-        for present in per_entity:
-            tags = sorted(present)
-            for a in range(len(tags)):
-                for b in range(a + 1, len(tags)):
-                    intra[tags[a], tags[b]] += 1
-                    intra[tags[b], tags[a]] += 1
-        tags = sorted(carriers)
-        for a in range(len(tags)):
-            for b in range(a, len(tags)):
-                ta, tb = tags[a], tags[b]
-                ea, eb = carriers[ta], carriers[tb]
-                if ta == tb:
-                    ok = len(ea) >= 2
-                else:
-                    ok = not (len(ea) == 1 and ea == eb)
-                if ok:
-                    inter[ta, tb] += 1
-                    if ta != tb:
-                        inter[tb, ta] += 1
-    return intra, inter
+def read_labels(path: str, value_name: str = "label") -> dict[str, float]:
+    """Read a ``tile_id,<value_name>`` CSV such as write_labels makes."""
+    return {tid: value for (tid,), value in read_value_csv(path, f"tile_id,{value_name}").items()}

@@ -316,13 +316,3 @@ def read_store(root: str) -> list[Tile]:
     for name in sorted(set(index.values())):
         tiles.extend(read_group_file(os.path.join(root, name)))
     return tiles
-
-
-def read_store_tile(root: str, tile_id: str) -> Tile:
-    index = read_store_index(root)
-    if tile_id not in index:
-        raise KeyError(f"tile {tile_id} not in store {root}")
-    for tile in read_group_file(os.path.join(root, index[tile_id])):
-        if tile.id.key == tile_id:
-            return tile
-    raise TefError(f"store index lists {tile_id} in {index[tile_id]}, but the file lacks it")

@@ -19,20 +19,6 @@ from .seeds import rng_for
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    smooth_l1_beta: float = 2.0
-    vicreg_beta: float = 0.05
-    variance_target: float = 1.0
-    variance_eps: float = 1e-4
-
-    def __post_init__(self):
-        if self.smooth_l1_beta <= 0:
-            raise ValueError("smooth_l1_beta must be positive")
-        if self.vicreg_beta < 0:
-            raise ValueError("vicreg_beta must be non-negative")
-
-
 def huber_masked(
     pred: np.ndarray,
     target: np.ndarray,

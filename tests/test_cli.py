@@ -206,6 +206,18 @@ def test_eval_scoreboard_mode(tmp_path, capsys):
     assert saved[1].startswith("alpha,1.0,0.5,")
 
 
+@pytest.mark.parametrize("bad_line, reason", [
+    ("beta,t1", "expected 'model,task,mae' fields, got 'beta,t1'"),
+    ("beta,t1,n/a", "mae 'n/a' is not a number"),
+    ("alpha,t1,3.0", "duplicate model,task 'alpha,t1'"),
+])
+def test_eval_scoreboard_errors_name_path_and_line(tmp_path, capsys, bad_line, reason):
+    board = tmp_path / "board.csv"
+    board.write_text(f"model,task,mae\nalpha,t1,1.0\n{bad_line}\n")
+    assert main(["eval", "--scoreboard", str(board)]) == 1
+    assert capsys.readouterr().err == f"geotile: {board}:3: {reason}\n"
+
+
 def test_knn_command(tmp_path, capsys):
     vectors = {
         "q": np.array([1.0, 0.0]),
@@ -302,6 +314,7 @@ def test_synth_task_loads_only_what_it_runs(pipeline):
     assert code == 0
     unused = {"masking", "training", "evaluation", "process", "geometry", "visibility", "tokens", "pbf"}
     assert not {f"geotile.{name}" for name in unused} & ran
+    assert "numpy" not in ran
 
 
 def test_info_logging_reports_each_command(tmp_path):

@@ -7,7 +7,6 @@ from geotile.evaluation import (
     KNN_DEFAULT_K,
     clamp_predictions,
     collapse_metrics,
-    dummy_median,
     harmonic_mean,
     knn,
     mae,
@@ -56,13 +55,6 @@ def test_clamp_predictions():
     assert out.tolist() == [-100.0, 0.0, 64.0, 200.0]
     with pytest.raises(ValueError, match="clamp"):
         clamp_predictions([1.0], (1.0, 1.0))
-
-
-def test_dummy_median():
-    assert dummy_median([5.0, 1.0, 3.0]) == 3.0
-    assert dummy_median([1.0, 2.0, 3.0, 10.0]) == 2.5
-    with pytest.raises(ValueError, match="nothing"):
-        dummy_median([])
 
 
 def test_harmonic_mean():

@@ -329,6 +329,39 @@ def test_unknown_required_feature_is_rejected(tmp_path):
         read_pbf(str(path))
 
 
+def test_invalid_utf8_in_string_table_is_a_pbf_error(tmp_path):
+    good = _golden_data_blob()
+    bad = good.replace(b"Elm Street", b"Elm \xfftreet")
+    assert bad != good and len(bad) == len(good)
+    path = tmp_path / "table.osm.pbf"
+    header = _header_blob()
+    path.write_bytes(header + bad)
+    (header_len,) = struct.unpack(">I", bad[:4])
+    with pytest.raises(PbfError, match="string table entry is not valid UTF-8") as err:
+        read_pbf(str(path))
+    assert err.value.offset == len(header) + 4 + header_len  # the data blob
+
+
+def test_invalid_utf8_in_required_feature_is_a_pbf_error(tmp_path):
+    path = tmp_path / "feature.osm.pbf"
+    blob = _blob("OSMHeader", _ld(4, b"OsmSchema-V0.6") + _ld(4, b"Dense\xc3Nodes"))
+    path.write_bytes(blob)
+    (header_len,) = struct.unpack(">I", blob[:4])
+    with pytest.raises(PbfError, match="required feature is not valid UTF-8") as err:
+        read_pbf(str(path))
+    assert err.value.offset == 4 + header_len
+
+
+def test_invalid_utf8_in_blob_type_is_a_pbf_error(tmp_path):
+    good = _header_blob()
+    bad = good.replace(b"OSMHeader", b"OSM\xfeeader")
+    path = tmp_path / "type.osm.pbf"
+    path.write_bytes(good + bad)
+    with pytest.raises(PbfError, match="blob type is not valid UTF-8") as err:
+        read_pbf(str(path))
+    assert err.value.offset == len(good) + 4  # the second blob's header
+
+
 def test_truncated_file_reports_byte_offset(tmp_path):
     good = _header_blob() + _golden_data_blob()
     path = tmp_path / "trunc.osm.pbf"

@@ -3,11 +3,11 @@
 import json
 import re
 
-import numpy as np
 import pytest
 
 from geotile.geo import TileId, tile_extent_m, tile_origin
 from geotile.model import Entity, Geometry, Tile
+from geotile.seeds import rng_for
 from geotile.tasks import (
     BUNDLED_TASKS,
     MPH_TO_KMH,
@@ -17,7 +17,6 @@ from geotile.tasks import (
     TaskSpec,
     apply_mask,
     compute_label,
-    cooccurrence,
     load_task,
     mask_entity,
     parse_numeric_value,
@@ -300,6 +299,10 @@ def test_rebalance_keeps_about_a_tenth():
     assert kept + result.rebalance_dropped == 200
     # binomial(200, 0.1): mean 20, sigma about 4.24
     assert abs(kept - 20) <= 13
+    # The draws are numpy's: one uniform per zero-labelled tile, in id order.
+    rng = rng_for(21, "rebalance", spec.name)
+    in_order = sorted(t.id.key for t in tiles)
+    assert list(result.labels) == [tid for tid in in_order if rng.uniform() < spec.rebalance_zero_keep]
     again = synthesize_task(tiles, spec, seed=21)
     assert again.labels == result.labels
     other = synthesize_task(tiles, spec, seed=22)
@@ -333,56 +336,23 @@ def test_read_labels_rejects_foreign_header(tmp_path):
         read_labels(str(path))
 
 
-# ------------------------------------------------------------ co-occurrence
+@pytest.mark.parametrize("bad_line, reason", [
+    ("16_1_3", "expected 'tile_id,label' fields, got '16_1_3'"),
+    ("16_1_3,high", "label 'high' is not a number"),
+    ("16_1_3,1,2", "label '1,2' is not a number"),
+    ("16_1_2,4.0", "duplicate tile_id '16_1_2'"),
+])
+def test_read_labels_names_path_and_line(tmp_path, bad_line, reason):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"tile_id,label\n16_1_2,1.0\n\n{bad_line}\n")
+    with pytest.raises(ValueError) as err:
+        read_labels(str(path))
+    assert str(err.value) == f"{path}:4: {reason}"
 
 
-def test_cooccurrence_diagonal_and_pairs():
-    vocab = ["building=yes", "highway=primary", "bridge=yes"]
-    tile = _tile([
-        _entity(1, [("building", "yes")]),
-        _entity(2, [("building", "yes")]),
-        _entity(3, [("highway", "primary"), ("bridge", "yes")]),
-    ])
-    intra, inter = cooccurrence([tile], vocab)
-    assert intra[1, 2] == 1 and intra[2, 1] == 1
-    assert intra[0, 0] == 0
-    assert inter[0, 0] == 1  # two distinct carriers of building=yes
-    assert inter[1, 1] == 0
-    assert inter[1, 2] == 0  # only co-carried by one and the same entity
-    assert inter[0, 1] == 1 and inter[0, 2] == 1
-
-
-def test_cooccurrence_matches_double_loop_oracle():
-    rng = np.random.default_rng(33)
-    vocab = [f"k{i}=v" for i in range(6)]
-    for _ in range(30):
-        tiles = []
-        for tx in range(int(rng.integers(1, 4))):
-            ents = []
-            for eid in range(int(rng.integers(1, 6))):
-                picks = rng.uniform(size=6) < 0.4
-                tags = [(f"k{i}", "v") for i in range(6) if picks[i]]
-                ents.append(_entity(eid, tags))
-            tiles.append(_tile(ents, x=18000 + tx))
-        intra, inter = cooccurrence(tiles, vocab)
-
-        want_intra = np.zeros((6, 6), dtype=np.int64)
-        want_inter = np.zeros((6, 6), dtype=np.int64)
-        for tile in tiles:
-            sets = [{int(k[1]) for k, _ in e.tags} for e in tile.entities]
-            for s in sets:
-                for a in s:
-                    for b in s:
-                        if a != b:
-                            want_intra[a, b] += 1
-            for a in range(6):
-                for b in range(6):
-                    hit = any(
-                        a in sa and b in sb and not (ia == ib)
-                        for ia, sa in enumerate(sets)
-                        for ib, sb in enumerate(sets)
-                    )
-                    if hit:
-                        want_inter[a, b] += 1
-        assert np.array_equal(intra, want_intra)
-        assert np.array_equal(inter, want_inter)
+def test_read_labels_takes_the_value_column_name(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_text("tile_id,prediction\n16_1_2,0.5\n")
+    assert read_labels(str(path), "prediction") == {"16_1_2": 0.5}
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: expected 'tile_id,label' header"):
+        read_labels(str(path))

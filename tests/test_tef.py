@@ -16,7 +16,6 @@ from geotile.tef import (
     read_group_file,
     read_store,
     read_store_index,
-    read_store_tile,
     tile_from_json,
     tile_group,
     tile_to_json,
@@ -197,10 +196,6 @@ def test_store_write_read_and_index(tmp_path):
     assert index["16_18056_25957"] == "16_4514_6489.tefgz"
     assert read_store_index(str(root)) == index
     assert sorted(t.id.key for t in read_store(str(root))) == sorted(t.id.key for t in tiles)
-    one = read_store_tile(str(root), "16_18053_25957")
-    assert one.id == TileId(16, 18053, 25957)
-    with pytest.raises(KeyError):
-        read_store_tile(str(root), "16_0_0")
 
 
 def test_store_rewrite_is_byte_identical(tmp_path):

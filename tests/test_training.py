@@ -7,7 +7,6 @@ import pytest
 
 from geotile.seeds import rng_for
 from geotile.training import (
-    LossConfig,
     ScheduleConfig,
     ema_update,
     huber_masked,
@@ -149,14 +148,6 @@ def test_vicreg_needs_two_tokens():
 def test_total_loss_weighting():
     assert total_loss(1.0, 0.5, 0.25) == 1.0 + 0.05 * 0.75
     assert total_loss(1.0, 0.5, 0.25, vicreg_beta=0.0) == 1.0
-    assert LossConfig().vicreg_beta == 0.05
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError, match="beta"):
-        LossConfig(smooth_l1_beta=0.0)
-    with pytest.raises(ValueError, match="non-negative"):
-        LossConfig(vicreg_beta=-0.1)
 
 
 def test_ema_update():
