@@ -177,19 +177,8 @@ def cmd_mask_plan(args) -> int:
     seed = _stage_seed(args.seed, "mask-plan")
     cfg = masking.MaskConfig(seed=seed)
     if args.stats:
-        lens = [int(n) for n in batch.valid_len]
-        built = {
-            masking.STRATEGY_RANDOM: masking.random_mask(
-                lens, cfg.random_ratio, cfg.random_num_targets, seed, batch.ids
-            ),
-            masking.STRATEGY_AREA: masking.area_mask(
-                masking.box_centres(batch.boxes), lens, cfg.area_ratio,
-                cfg.area_num_targets, cfg.area_aspect_range, seed, batch.ids,
-            ),
-            masking.STRATEGY_MODALITY: masking.modality_mask(batch.modality, lens, seed, batch.ids),
-        }
-        for name, plan in built.items():
-            plan = masking.enforce_min_context(plan, cfg.min_ctx_for(name), seed)
+        for name in masking.STRATEGIES:
+            plan = masking.build_plan(batch, cfg, name)
             fracs = [s.context_fraction() for s in plan.samples]
             _print(f"strategy {name}: mean context fraction {np.mean(fracs):.4f}, fallbacks {plan.fallbacks}")
             for lo, hi, count in masking.context_fraction_histogram(plan):

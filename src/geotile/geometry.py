@@ -207,11 +207,9 @@ def geometry_min_box(
     step_deg: float = BOX_SCAN_STEP_DEG,
     rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
 ) -> MinBox:
-    """Oriented box for any geometry kind; ring closing points are ignored."""
-    if geom.kind == "point":
-        return min_area_box([geom.coords], min_side=min_side, step_deg=step_deg, rng=rng)
-    if geom.kind == "polyline":
-        pts = list(geom.coords)
-    else:
-        pts = [p for ring in geom.rings() for p in ring[:-1]]
-    return min_area_box(pts, min_side=min_side, step_deg=step_deg, rng=rng)
+    """Oriented box for any geometry kind.
+
+    Ring-closing repeats go to min_area_box with the other points; its convex
+    hull drops repeated points, so they change nothing.
+    """
+    return min_area_box(list(geom.iter_points()), min_side=min_side, step_deg=step_deg, rng=rng)

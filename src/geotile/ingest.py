@@ -207,30 +207,12 @@ def clip_entity_unit(entity: Entity) -> tuple[list[Entity], int]:
     return out, dropped
 
 
-def _transform_geometry(geom: Geometry, origin: tuple[float, float], extent: float) -> Geometry:
-    def conv(p: Coord) -> Coord:
-        return geo_to_norm(p[0], p[1], origin, extent)
-
-    if geom.kind == "point":
-        return Geometry("point", conv(geom.coords))
-    if geom.kind == "polyline":
-        return Geometry("polyline", tuple(conv(p) for p in geom.coords))
-    if geom.kind == "polygon":
-        return Geometry("polygon", tuple(tuple(conv(p) for p in ring) for ring in geom.coords))
-    return Geometry(
-        "multipolygon",
-        tuple(tuple(tuple(conv(p) for p in ring) for ring in poly) for poly in geom.coords),
-    )
-
-
 def clip_to_tile(entity: Entity, tid: TileId) -> tuple[list[Entity], int]:
     """Project a geographic-coordinate entity into tid's frame and clip it."""
     origin = tile_origin(tid)
     extent = tile_extent_m(tid)
-    local = Entity(
-        entity.id, entity.kind, entity.tags, _transform_geometry(entity.geometry, origin, extent)
-    )
-    return clip_entity_unit(local)
+    local = entity.geometry.map(lambda p: geo_to_norm(p[0], p[1], origin, extent))
+    return clip_entity_unit(Entity(entity.id, entity.kind, entity.tags, local))
 
 
 # ------------------------------------------------------------- assignment

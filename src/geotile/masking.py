@@ -24,6 +24,7 @@ log = logging.getLogger(__name__)
 STRATEGY_RANDOM = "random"
 STRATEGY_AREA = "area"
 STRATEGY_MODALITY = "modality"
+STRATEGIES = (STRATEGY_RANDOM, STRATEGY_AREA, STRATEGY_MODALITY)  # strategy_weights order
 
 
 @dataclass(frozen=True)
@@ -245,18 +246,16 @@ def select_strategy(cfg: MaskConfig, batch_index: int, seed: int | None = None) 
     """Weighted strategy choice, fixed per batch so batch kernels stay uniform."""
     root = cfg.seed if seed is None else seed
     r = rng_for(root, "strategy", str(batch_index)).uniform()
-    names = (STRATEGY_RANDOM, STRATEGY_AREA, STRATEGY_MODALITY)
     acc = 0.0
-    for name, w in zip(names, cfg.strategy_weights):
+    for name, w in zip(STRATEGIES, cfg.strategy_weights):
         acc += w
         if r < acc:
             return name
-    return names[-1]
+    return STRATEGIES[-1]
 
 
-def plan_masks(batch: TokenBatch, cfg: MaskConfig, batch_index: int = 0) -> MaskPlan:
-    """Pick a strategy for the batch, mask every sample, enforce min context."""
-    strategy = select_strategy(cfg, batch_index)
+def build_plan(batch: TokenBatch, cfg: MaskConfig, strategy: str) -> MaskPlan:
+    """Mask every sample of the batch with one strategy, then enforce its min context."""
     lens = [int(n) for n in batch.valid_len]
     if strategy == STRATEGY_RANDOM:
         plan = random_mask(lens, cfg.random_ratio, cfg.random_num_targets, cfg.seed, batch.ids)
@@ -270,9 +269,16 @@ def plan_masks(batch: TokenBatch, cfg: MaskConfig, batch_index: int = 0) -> Mask
             cfg.seed,
             batch.ids,
         )
-    else:
+    elif strategy == STRATEGY_MODALITY:
         plan = modality_mask(batch.modality, lens, cfg.seed, batch.ids)
+    else:
+        raise ValueError(f"unknown masking strategy {strategy!r}")
     return enforce_min_context(plan, cfg.min_ctx_for(strategy), cfg.seed)
+
+
+def plan_masks(batch: TokenBatch, cfg: MaskConfig, batch_index: int = 0) -> MaskPlan:
+    """Pick a strategy for the batch, mask every sample, enforce min context."""
+    return build_plan(batch, cfg, select_strategy(cfg, batch_index))
 
 
 # -------------------------------------------------------------- compaction

@@ -8,7 +8,7 @@ arrays at their boundaries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .geo import TileId
 
@@ -35,6 +35,10 @@ def _as_ring(ring: Sequence[Sequence[float]]) -> Ring:
     return tuple(_as_coord(p) for p in ring)
 
 
+# Nesting depth of Geometry.coords by kind: 0 is one point, 1 a point list.
+_DEPTH = {"point": 0, "polyline": 1, "polygon": 2, "multipolygon": 3}
+
+
 @dataclass(frozen=True)
 class Geometry:
     """One of point / polyline / polygon / multipolygon.
@@ -44,6 +48,10 @@ class Geometry:
       polyline      ((x, y), ...)            >= 2 points
       polygon       (ring, ...)              rings closed, outer first
       multipolygon  (polygon, ...)
+
+    Every stored ring repeats its first point last.  iter_points yields that
+    repeat too; geometry_min_box leaves it to the convex hull, which drops
+    repeated points.
     """
 
     kind: GeometryKind
@@ -70,6 +78,20 @@ class Geometry:
             raise ValueError("multipolygon needs at least one polygon")
         return Geometry("multipolygon", tuple(_validated_polygon(p) for p in polygons))
 
+    def map(self, fn: Callable, depth: int = 0) -> "Geometry":
+        """The same kind with fn applied to every point (depth 0) or to every
+        polyline and ring (depth 1); a point has no depth-1 part and is
+        returned as is.  The result is not validated.
+        """
+        def walk(value, level):
+            if level == depth:
+                return fn(value)
+            return tuple(walk(v, level - 1) for v in value)
+
+        if _DEPTH[self.kind] < depth:
+            return self
+        return Geometry(self.kind, walk(self.coords, _DEPTH[self.kind]))
+
     def rings(self) -> tuple[Ring, ...]:
         """All rings regardless of polygon membership (empty for non-areal kinds)."""
         if self.kind == "polygon":
@@ -79,6 +101,7 @@ class Geometry:
         return ()
 
     def iter_points(self) -> Iterator[Coord]:
+        """Every stored point, ring-closing repeats included."""
         if self.kind == "point":
             yield self.coords
         elif self.kind == "polyline":

@@ -26,18 +26,14 @@ def simplify_geometry(geom: Geometry, eps: float) -> Geometry:
     """
     if geom.kind == "point" or eps <= 0.0:
         return geom
-    if geom.kind == "polyline":
-        return Geometry.polyline(douglas_peucker(geom.coords, eps))
+    min_len = 2 if geom.kind == "polyline" else 4
 
-    def simplify_ring(ring):
-        slim = douglas_peucker(ring, eps)
-        return slim if len(slim) >= 4 else ring
+    def simplify(line):
+        slim = douglas_peucker(line, eps)
+        return slim if len(slim) >= min_len else line
 
-    if geom.kind == "polygon":
-        return Geometry.polygon([simplify_ring(r) for r in geom.coords])
-    return Geometry.multipolygon(
-        [[simplify_ring(r) for r in poly] for poly in geom.coords]
-    )
+    # Rebuilt through the kind's validating constructor.
+    return getattr(Geometry, geom.kind)(geom.map(simplify, depth=1).coords)
 
 
 def process_entity(entity: Entity, tile: Tile, eps_norm: float, seed: int) -> Entity:

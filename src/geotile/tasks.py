@@ -286,15 +286,19 @@ def write_labels(labels: dict[str, float], path: str) -> None:
 def read_value_csv(path: str, header: str) -> dict[tuple[str, ...], float]:
     """Map each line's leading columns, a unique key, to its last column as a float.
 
-    A bad header, short line, non-number or repeated key raises ValueError at ``path:line``.
+    A bad header, short line, non-number, repeated key or bytes that are not
+    UTF-8 raise ValueError at ``path:line``.
     """
+    from .tef import utf8_lines
+
     names = header.split(",")
     out: dict[tuple[str, ...], float] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        got = fh.readline().strip()
+    with open(path, "rb") as fh:
+        lines = utf8_lines(fh, path)
+        got = next(lines, "").strip()
         if got != header:
             raise ValueError(f"{path}:1: expected {header!r} header, got {got!r}")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             *key, value = fields = line.rstrip("\n").split(",", len(names) - 1)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import json
 import os
+import zlib
 from collections import defaultdict
 from typing import Iterable, Iterator
 
@@ -51,27 +52,18 @@ def group_file_name(group: tuple[int, int, int]) -> str:
 # ----------------------------------------------------------------- encoding
 
 
-def _coords_json(geom: Geometry):
-    if geom.kind == "point":
-        return list(geom.coords)
-    if geom.kind == "polyline":
-        return [list(p) for p in geom.coords]
-    if geom.kind == "polygon":
-        return [[list(p) for p in ring] for ring in geom.coords]
-    return [[[list(p) for p in ring] for ring in poly] for poly in geom.coords]
-
-
 def _entity_json(e: Entity) -> dict:
+    # json.dumps writes the nested tuples of tags, coords and edges as arrays.
     obj: dict = {
         "id": e.id,
         "kind": e.kind,
-        "tags": [[k, v] for k, v in e.tags],
-        "geometry": {"type": e.geometry.kind, "coords": _coords_json(e.geometry)},
+        "tags": e.tags,
+        "geometry": {"type": e.geometry.kind, "coords": e.geometry.coords},
     }
     if e.minbox is not None:
         obj["minbox"] = [float(v) for v in e.minbox.flat()]
     if e.visgraph is not None:
-        obj["visgraph"] = {"edges": [[i, j, kind] for i, j, kind in e.visgraph.edges]}
+        obj["visgraph"] = {"edges": e.visgraph.edges}
     return obj
 
 
@@ -245,9 +237,15 @@ def tile_from_json(line: str, lineno: int | None = None) -> Tile:
     return Tile(id=tid, origin=origin, extent_m=extent, entities=tuple(entities))
 
 
-def parse_tef_lines(lines: Iterable[str]) -> Iterator[Tile]:
+def parse_tef_lines(lines: Iterable[str | bytes]) -> Iterator[Tile]:
+    """Tiles of TEF lines given as text or as UTF-8 bytes."""
     seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise _fail("tile", f"invalid UTF-8 at byte {exc.start}", lineno) from None
         if not line.strip():
             continue
         tile = tile_from_json(line, lineno)
@@ -266,6 +264,15 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     with open(tmp, "wb") as fh:
         fh.write(data)
     os.replace(tmp, path)
+
+
+def utf8_lines(fh: Iterable[bytes], path: str) -> Iterator[str]:
+    """The lines of a binary file as text; one that is not UTF-8 raises ValueError at ``path:line``."""
+    for lineno, raw in enumerate(fh, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}") from None
 
 
 def _gzip_bytes(data: bytes) -> bytes:
@@ -305,8 +312,14 @@ def read_store_index(root: str) -> dict[str, str]:
 
 
 def read_group_file(path: str) -> list[Tile]:
-    with gzip.open(path, "rt", encoding="utf-8") as fh:
-        return list(parse_tef_lines(fh))
+    """The tiles of one group file; corrupt gzip data or TEF raises TefError naming the file."""
+    try:
+        with gzip.open(path, "rb") as fh:
+            return list(parse_tef_lines(fh))
+    except TefError as exc:
+        raise TefError(f"{path}: {exc}") from None
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise TefError(f"{path}: corrupt gzip data: {exc}") from None
 
 
 def read_store(root: str) -> list[Tile]:

@@ -1,4 +1,4 @@
-"""Numeric model inputs: tag vectors, embedding pools, boxes and token batches.
+"""Numeric model inputs: tag vocabulary, embeddings, boxes and token batches.
 
 Everything here is deterministic and padding-explicit.  A TokenBatch is the
 unit handed to masking and loss code: per sample a run of real tokens
@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ MODALITY_IMG = 2
 VOCAB_MAX_SIZE = 12500
 VOCAB_MIN_OCCURRENCES = 10
 PATCH_GRID = 14
-DROPOUT_P = 0.3
 BATCH_MAGIC = b"GJTB"
 BATCH_VERSION = 1
 
@@ -50,17 +48,6 @@ class TagVocab:
     def __contains__(self, tag: str) -> bool:
         return tag in self.index
 
-    def index_of(self, tag: str) -> int | None:
-        return self.index.get(tag)
-
-
-def count_tags(tiles: Iterable[Tile]) -> Counter:
-    counts: Counter = Counter()
-    for tile in tiles:
-        for e in tile.entities:
-            counts.update(tag_key(k, v) for k, v in e.tags)
-    return counts
-
 
 def prune_vocab(
     counts: Mapping[str, int],
@@ -74,37 +61,6 @@ def prune_vocab(
     kept = [(tag, c) for tag, c in counts.items() if c >= min_occurrences]
     kept.sort(key=lambda item: (-item[1], item[0]))
     return TagVocab(tags=tuple(tag for tag, _ in kept[:max_size]))
-
-
-def save_vocab(vocab: TagVocab, path: str) -> None:
-    from .tef import atomic_write_bytes
-
-    atomic_write_bytes(path, ("\n".join(vocab.tags) + "\n").encode("utf-8") if vocab.tags else b"")
-
-
-def load_vocab(path: str) -> TagVocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        tags = tuple(line.rstrip("\n") for line in fh if line.strip())
-    return TagVocab(tags=tags)
-
-
-def tile_tag_counts(tile: Tile, vocab: TagVocab) -> np.ndarray:
-    """Per vocab tag, the number of entities in the tile carrying it."""
-    out = np.zeros(len(vocab), dtype=np.int64)
-    for e in tile.entities:
-        for idx in {vocab.index_of(tag_key(k, v)) for k, v in e.tags}:
-            if idx is not None:
-                out[idx] += 1
-    return out
-
-
-def entity_tag_multihot(entity: Entity, vocab: TagVocab) -> np.ndarray:
-    out = np.zeros(len(vocab), dtype=np.float32)
-    for k, v in entity.tags:
-        idx = vocab.index_of(tag_key(k, v))
-        if idx is not None:
-            out[idx] = 1.0
-    return out
 
 
 # ------------------------------------------------------------- embeddings
@@ -124,22 +80,33 @@ class EmbeddingTable:
 
 
 def load_embeddings(path: str) -> EmbeddingTable:
-    """Text table: header ``d=<int>``, then ``key=value<TAB>f1 f2 ... fd``."""
+    """Text table: header ``d=<int>``, then ``key=value<TAB>f1 f2 ... fd``.
+
+    A bad header or row, or bytes that are not UTF-8, raise ValueError at ``path:line``.
+    """
+    from .tef import utf8_lines
+
     vectors: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d="):
-            raise ValueError(f"{path}:1: expected 'd=<int>' header, got {header!r}")
-        dim = int(header[2:])
-        for lineno, line in enumerate(fh, start=2):
+    with open(path, "rb") as fh:
+        lines = utf8_lines(fh, path)
+        header = next(lines, "").strip()
+        dim = int(header[2:]) if header.startswith("d=") and header[2:].isdecimal() else 0
+        if dim < 1:
+            raise ValueError(f"{path}:1: expected 'd=<int>' header with d >= 1, got {header!r}")
+        for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             tag, values = line.rstrip("\n").split("\t", 1)
-            vec = np.array([float(x) for x in values.split()], dtype=np.float64)
+            try:
+                vec = np.array([float(x) for x in values.split()], dtype=np.float64)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: vector for {tag!r} has a value that is not a float") from None
             if vec.shape != (dim,):
                 raise ValueError(f"{path}:{lineno}: expected {dim} floats, got {vec.shape[0]}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}:{lineno}: vector for {tag!r} is not finite")
             vectors[tag] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)
 
@@ -170,17 +137,6 @@ def entity_embed_mean(
     return np.mean(hits, axis=0)
 
 
-def tagpool_region(tile: Tile, table: EmbeddingTable) -> np.ndarray:
-    """Componentwise max over entity vectors, concatenated with their mean.
-
-    Entities with no in-table tags contribute zero vectors to both pools.
-    """
-    if not tile.entities:
-        raise ValueError(f"tile {tile.id.key} has no entities to pool")
-    stack = np.stack([entity_embed_mean(e, table) for e in tile.entities])
-    return np.concatenate([stack.max(axis=0), stack.mean(axis=0)])
-
-
 # ------------------------------------------------------------------ boxes
 
 
@@ -207,24 +163,6 @@ def image_patch_boxes(grid: int = PATCH_GRID, include_class: bool = False) -> li
             x0, x1 = col / grid, (col + 1) / grid
             boxes.append(MinBox(corners=((x0, y0), (x1, y0), (x1, y1), (x0, y1))))
     return boxes
-
-
-def modality_dropout(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Per-entity (drop_tag, drop_geom) flags at p = 0.3 each, never both.
-
-    A draw hitting both modalities is redrawn, so the effective single-drop
-    probability is 0.21/0.91 per side.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    drop_tag = rng.random(n) < DROPOUT_P
-    drop_geom = rng.random(n) < DROPOUT_P
-    both = drop_tag & drop_geom
-    while both.any():
-        k = int(both.sum())
-        drop_tag[both] = rng.random(k) < DROPOUT_P
-        drop_geom[both] = rng.random(k) < DROPOUT_P
-        both = drop_tag & drop_geom
-    return drop_tag, drop_geom
 
 
 # ----------------------------------------------------------- token batches

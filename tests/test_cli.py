@@ -147,6 +147,53 @@ def test_encode_and_mask_plan(pipeline, capsys):
         assert f"strategy {name}:" in stats
 
 
+# mask-plan --stats on the fixture's dumps: per strategy, the mean context
+# fraction, the fallbacks and the ten histogram counts.
+MASK_PLAN_STATS = {
+    False: {
+        "random": ("0.1667", 0, [0, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+        "area": ("0.1667", 0, [0, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+        "modality": ("0.1667", 4, [0, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+    },
+    True: {
+        "random": ("0.1040", 0, [0, 4, 0, 0, 0, 0, 0, 0, 0, 0]),
+        "area": ("0.2884", 0, [0, 0, 3, 1, 0, 0, 0, 0, 0, 0]),
+        "modality": ("0.7661", 0, [0, 1, 0, 0, 0, 0, 0, 0, 0, 3]),
+    },
+}
+
+
+@pytest.mark.parametrize("include_image", [False, True])
+def test_mask_plan_stats_output_is_pinned(pipeline, capsys, include_image):
+    tmp_path, store, proc = pipeline
+    table = tmp_path / "vectors.txt"
+    _write_table(table, 6, ["building=yes", "highway=residential", "bridge=yes"])
+    dump = str(tmp_path / "batch.gjtb")
+    image = ["--include-image"] if include_image else []
+    assert main(["encode", proc, "--embeddings", str(table), "--out", dump, *image]) == 0
+    capsys.readouterr()
+    assert main(["mask-plan", dump, "--stats"]) == 0
+    want = "".join(
+        f"strategy {name}: mean context fraction {mean}, fallbacks {fallbacks}\n"
+        + "".join(f"  [{i / 10:.1f},{(i + 1) / 10:.1f})  {n}\n" for i, n in enumerate(counts))
+        for name, (mean, fallbacks, counts) in MASK_PLAN_STATS[include_image].items()
+    )
+    assert capsys.readouterr().out == want
+
+
+def test_truncated_group_file_fails_process_naming_it(pipeline, capsys):
+    tmp_path, store, proc = pipeline
+    name = sorted(set(tef.read_store_index(store).values()))[0]
+    path = os.path.join(store, name)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(raw[: len(raw) // 2])
+    capsys.readouterr()
+    assert main(["process", store, str(tmp_path / "proc2")]) == 1
+    assert capsys.readouterr().err.startswith(f"geotile: {path}: corrupt gzip data: ")
+
+
 def test_encode_with_image_tokens(pipeline, capsys):
     tmp_path, store, proc = pipeline
     table = tmp_path / "vectors.txt"

@@ -291,6 +291,47 @@ def test_geometry_min_box_covers_all_geometry_kinds():
         assert w >= MIN_BOX_SIDE - 1e-12 and h >= MIN_BOX_SIDE - 1e-12
 
 
+def test_ring_closing_points_leave_the_box_unchanged():
+    rng = np.random.default_rng(50)
+    for _ in range(50):
+        rings = []
+        for _ in range(2):
+            pts = [(float(x), float(y)) for x, y in rng.uniform(0, 1, size=(6, 2))]
+            rings.append(pts + [pts[0]])
+        geom = Geometry.multipolygon([[rings[0]], [rings[1]]])
+        distinct = [p for ring in rings for p in ring[:-1]]
+        assert geometry_min_box(geom) == min_area_box(distinct)
+
+
+def test_geometry_map_on_every_kind_at_both_depths():
+    ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))
+    hole = ((0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.2))
+
+    def shift(p):
+        return (p[0] + 1.0, p[1] * 2.0)
+
+    def shifted(line):
+        return tuple(shift(p) for p in line)
+
+    point = Geometry.point((0.5, 0.25))
+    assert point.map(shift) == Geometry("point", (1.5, 0.5))
+    assert point.map(shifted, depth=1) is point
+
+    line = Geometry.polyline([(0.0, 0.0), (0.5, 0.5)])
+    assert line.map(shift) == Geometry("polyline", ((1.0, 0.0), (1.5, 1.0)))
+    assert line.map(len, depth=1) == Geometry("polyline", 2)
+
+    poly = Geometry.polygon([ring, hole])
+    assert poly.map(shift) == Geometry.polygon([shifted(ring), shifted(hole)])
+    assert poly.map(shifted, depth=1) == poly.map(shift)
+    assert poly.map(len, depth=1) == Geometry("polygon", (4, 4))
+
+    multi = Geometry.multipolygon([[ring, hole], [hole]])
+    assert multi.map(shift) == Geometry.multipolygon([[shifted(ring), shifted(hole)], [shifted(hole)]])
+    assert multi.map(shifted, depth=1) == multi.map(shift)
+    assert multi.map(len, depth=1) == Geometry("multipolygon", ((4, 4), (4,)))
+
+
 def test_box_contains_its_input_points():
     rng = np.random.default_rng(49)
     for _ in range(100):

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from geotile.masking import (
+    STRATEGIES,
     MaskConfig,
     MaskPlan,
     SampleMask,
     area_mask,
     box_centres,
+    build_plan,
     compact,
     context_fraction_histogram,
     enforce_min_context,
@@ -270,6 +272,18 @@ def test_plan_masks_applies_floor():
             assert len(s.context) >= math.ceil(floor * s.valid_len) or plan.fallbacks
             covered = set(s.context) | {i for t in s.targets for i in t}
             assert covered <= set(range(s.valid_len))
+
+
+def test_build_plan_runs_each_strategy_and_rejects_others():
+    batch = _uniform_batch(4, 60, seed=3)
+    cfg = MaskConfig(seed=9)
+    for name in STRATEGIES:
+        plan = build_plan(batch, cfg, name)
+        assert plan.strategy == name
+        for s in plan.samples:
+            assert len(s.context) >= math.ceil(cfg.min_ctx_for(name) * s.valid_len)
+    with pytest.raises(ValueError, match="unknown masking strategy 'grid'"):
+        build_plan(batch, cfg, "grid")
 
 
 def test_plan_masks_mixed_modality_floor():

@@ -350,6 +350,14 @@ def test_read_labels_names_path_and_line(tmp_path, bad_line, reason):
     assert str(err.value) == f"{path}:4: {reason}"
 
 
+def test_read_labels_names_the_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(b"tile_id,label\n16_1_2,1.0\n16_1_\xff,2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_labels(str(path))
+    assert str(err.value) == f"{path}:3: invalid UTF-8 at byte 5"
+
+
 def test_read_labels_takes_the_value_column_name(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("tile_id,prediction\n16_1_2,0.5\n")

@@ -235,3 +235,44 @@ def test_gzip_members_carry_no_timestamp(tmp_path):
     with gzip.open(root / "16_4513_6489.tefgz", "rt", encoding="utf-8") as fh:
         payload = fh.read()
     assert json.loads(payload.splitlines()[0])["id"] == "16_18052_25957"
+
+
+def _group_file(tmp_path):
+    write_store([_tile_at(18052, 25957, n_entities=3), _tile_at(18053, 25957)], str(tmp_path))
+    return tmp_path / "16_4513_6489.tefgz"
+
+
+def test_truncated_group_file_names_the_file(tmp_path):
+    path = _group_file(tmp_path)
+    raw = path.read_bytes()
+    for cut in (len(raw) // 2, len(raw) - 4, 5):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(TefError) as err:
+            read_group_file(str(path))
+        assert str(err.value).startswith(f"{path}: corrupt gzip data: ")
+
+
+def test_flipped_byte_in_group_file_names_the_file(tmp_path):
+    path = _group_file(tmp_path)
+    raw = path.read_bytes()
+    unnoticed = []
+    for i in range(len(raw)):
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x5A]) + raw[i + 1 :])
+        try:
+            read_group_file(str(path))
+        except TefError as exc:
+            assert str(exc).startswith(f"{path}: "), str(exc)
+        else:
+            unnoticed.append(i)
+    # Only the gzip header's mtime, extra-flags and OS bytes go unchecked.
+    assert unnoticed == [4, 5, 6, 7, 8, 9]
+
+
+def test_group_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
+    path = _group_file(tmp_path)
+    text = gzip.decompress(path.read_bytes()).replace(b'"k"', b'"\xff"', 2)
+    path.write_bytes(gzip.compress(text))
+    with pytest.raises(TefError) as err:
+        read_group_file(str(path))
+    at = text.index(b"\xff")
+    assert str(err.value) == f"{path}: tile: invalid UTF-8 at byte {at} (line 1)"

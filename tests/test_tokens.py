@@ -9,7 +9,6 @@ from geotile.geo import TileId, tile_extent_m, tile_origin
 from geotile.geometry import box_area
 from geotile.model import Entity, Geometry, MinBox, Tile
 from geotile.tokens import (
-    DROPOUT_P,
     MODALITY_ENTITY,
     MODALITY_IMG,
     MODALITY_PAD,
@@ -20,22 +19,14 @@ from geotile.tokens import (
     EmbeddingTable,
     TokenBatch,
     assemble_token_batch,
-    count_tags,
     dump_token_batch,
     entity_embed_mean,
-    entity_tag_multihot,
     image_patch_boxes,
     load_embeddings,
     load_token_batch,
-    load_vocab,
-    modality_dropout,
     posenc_input,
     prune_vocab,
     save_embeddings,
-    save_vocab,
-    tag_key,
-    tagpool_region,
-    tile_tag_counts,
 )
 
 SQUARE = MinBox(corners=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
@@ -65,45 +56,10 @@ def test_prune_vocab_order_and_floor():
     counts = {"a=1": 10, "b=1": 12, "c=1": 10, "d=1": 9}
     vocab = prune_vocab(counts)
     assert vocab.tags == ("b=1", "a=1", "c=1")
-    assert vocab.index_of("a=1") == 1
-    assert vocab.index_of("d=1") is None
+    assert vocab.index["a=1"] == 1
+    assert "d=1" not in vocab
     assert prune_vocab(counts, max_size=2).tags == ("b=1", "a=1")
     assert VOCAB_MIN_OCCURRENCES == 10 and VOCAB_MAX_SIZE == 12500
-
-
-def test_count_tags_spans_tiles():
-    tiles = [
-        _tile([_entity(1, [("building", "yes")]), _entity(2, [("building", "yes")])]),
-        _tile([_entity(1, [("building", "yes"), ("name", "mill")])], x=18053),
-    ]
-    counts = count_tags(tiles)
-    assert counts[tag_key("building", "yes")] == 3
-    assert counts["name=mill"] == 1
-
-
-def test_vocab_file_roundtrip(tmp_path):
-    vocab = prune_vocab({"b=1": 12, "a=1": 10})
-    path = tmp_path / "vocab.txt"
-    save_vocab(vocab, str(path))
-    assert path.read_text() == "b=1\na=1\n"
-    assert load_vocab(str(path)).tags == vocab.tags
-
-
-def test_tile_tag_counts_dedupes_within_entity():
-    vocab = prune_vocab({"building=yes": 10, "name=mill": 10})
-    tile = _tile([
-        _entity(1, [("building", "yes"), ("name", "mill")]),
-        _entity(2, [("building", "yes")]),
-        _entity(3, [("amenity", "bench")]),
-    ])
-    assert tile_tag_counts(tile, vocab).tolist() == [2, 1]
-
-
-def test_entity_multihot():
-    vocab = prune_vocab({"building=yes": 10, "name=mill": 10})
-    hot = entity_tag_multihot(_entity(1, [("building", "yes")]), vocab)
-    assert hot.dtype == np.float32
-    assert hot.tolist() == [1.0, 0.0]
 
 
 # ------------------------------------------------------------- embeddings
@@ -120,25 +76,6 @@ def test_embed_mean_miss_is_zero_and_diagnosed():
     out = entity_embed_mean(_entity(1, [("amenity", "bench")]), _table(), diag)
     assert out.tolist() == [0.0, 0.0, 0.0, 0.0]
     assert diag.entities_without_vectors == 1
-
-
-def test_tagpool_region_concat_and_orderfree():
-    ents = [
-        _entity(1, [("building", "yes")]),
-        _entity(2, [("highway", "primary")]),
-        _entity(3, [("amenity", "bench")]),
-    ]
-    pooled = tagpool_region(_tile(ents), _table())
-    assert pooled.shape == (8,)
-    assert pooled[:4].tolist() == [3.0, 2.0, 0.0, 2.5]
-    np.testing.assert_allclose(pooled[4:], [4 / 3, 1 / 3, -1 / 3, 1.0], atol=1e-15)
-    again = tagpool_region(_tile(ents[::-1]), _table())
-    assert np.array_equal(pooled, again)
-
-
-def test_tagpool_rejects_empty_tile():
-    with pytest.raises(ValueError, match="no entities"):
-        tagpool_region(_tile([]), _table())
 
 
 def test_embeddings_file_roundtrip(tmp_path):
@@ -163,6 +100,21 @@ def test_embeddings_validation(tmp_path):
         EmbeddingTable(dim=3, vectors={"a=b": np.zeros(4)})
     with pytest.raises(ValueError, match="finite"):
         EmbeddingTable(dim=2, vectors={"a=b": np.array([1.0, np.nan])})
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    (b"d=x\n", 1, "expected 'd=<int>' header with d >= 1, got 'd=x'"),
+    (b"d=0\n", 1, "expected 'd=<int>' header with d >= 1, got 'd=0'"),
+    (b"d=2\na=b\t1.0 2.0\nc=d\t1.0 zz\n", 3, "vector for 'c=d' has a value that is not a float"),
+    (b"d=2\na=b\t1.0 inf\n", 2, "vector for 'a=b' is not finite"),
+    (b"d=2\na=b\t1.0 2.0\nc=\xff\t1.0 2.0\n", 3, "invalid UTF-8 at byte 2"),
+])
+def test_load_embeddings_names_path_and_line(tmp_path, text, line, reason):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(text)
+    with pytest.raises(ValueError) as err:
+        load_embeddings(str(path))
+    assert str(err.value) == f"{path}:{line}: {reason}"
 
 
 # ------------------------------------------------------- positional boxes
@@ -197,28 +149,6 @@ def test_patch_boxes_class_slot_prepended():
     assert len(boxes) == 197
     assert boxes[0].corners == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
     assert boxes[1:] == image_patch_boxes()
-
-
-# --------------------------------------------------------------- dropout
-
-
-def test_modality_dropout_never_both():
-    drop_tag, drop_geom = modality_dropout(200000, seed=7)
-    assert not (drop_tag & drop_geom).any()
-    # redraw lifts each marginal to 0.21/0.91
-    want = 0.21 / 0.91
-    assert want == 0.23076923076923075
-    assert abs(float(drop_tag.mean()) - want) < 0.005
-    assert abs(float(drop_geom.mean()) - want) < 0.005
-    assert DROPOUT_P == 0.3
-
-
-def test_modality_dropout_deterministic():
-    a = modality_dropout(1000, seed=3)
-    b = modality_dropout(1000, seed=3)
-    c = modality_dropout(1000, seed=4)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    assert not np.array_equal(a[0], c[0])
 
 
 # ----------------------------------------------------------- token batches
