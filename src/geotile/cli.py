@@ -1,8 +1,10 @@
 """Command-line surface wiring the pipeline stages together.
 
 Every command is deterministic given its flags: one global --seed feeds
-per-stage derived seeds, all diagnostics go to stderr, and outputs are
-written via temp-then-rename so an interrupted run leaves no partial files.
+per-stage derived seeds, and all diagnostics go to stderr.  Each output file
+is written to a temp file, then renamed, so an interrupted run leaves no
+partial files.  process writes its store's index.json last, after every
+group file, so a failed run leaves no index.
 Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
 command logs its name, exit code and wall time.
 
@@ -14,6 +16,8 @@ synth-task without the geometry, token, masking and training modules.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import logging
 import os
@@ -55,7 +59,8 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _process_group(store: str, name: str, eps_m: float, seed: int, lo: int, hi: int):
+def _process_group(store: str, out: str, eps_m: float, seed: int, lo: int, hi: int, name: str):
+    """Read, process, filter and write one group file; returns its index entries and drop count."""
     # Imported here as well as in cmd_process: pool workers call this directly.
     from . import process
 
@@ -63,7 +68,8 @@ def _process_group(store: str, name: str, eps_m: float, seed: int, lo: int, hi: 
         process.process_tile(t, eps_m=eps_m, seed=seed)
         for t in tef.read_group_file(os.path.join(store, name))
     ]
-    return ingest.filter_outliers(worked, lo, hi)
+    kept, dropped = ingest.filter_outliers(worked, lo, hi)
+    return (tef.write_group(kept, out) if kept else {}), dropped
 
 
 def cmd_process(args) -> int:
@@ -71,31 +77,24 @@ def cmd_process(args) -> int:
 
     seed = _stage_seed(args.seed, "process")
     eps_m = process.DEFAULT_EPS_M if args.eps_m is None else args.eps_m
-    index = tef.read_store_index(args.store)
-    names = sorted(set(index.values()))
-    jobs = max(1, args.jobs)
-    results = []
-    if jobs == 1 or len(names) <= 1:
-        for name in names:
-            results.append(_process_group(args.store, name, eps_m, seed, args.min_entities, args.max_entities))
+    names = sorted(set(tef.read_store_index(args.store).values()))
+    # No index until every group is written, so a failed run leaves no store
+    # that mixes an earlier run's group files with this one's.
+    os.makedirs(args.out, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(args.out, tef.INDEX_NAME))
+    job = functools.partial(_process_group, args.store, args.out, eps_m, seed, args.min_entities, args.max_entities)
+    if args.jobs <= 1 or len(names) <= 1:
+        results = list(map(job, names))
     else:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_process_group, args.store, name, eps_m, seed, args.min_entities, args.max_entities)
-                for name in names
-            ]
-            results = [f.result() for f in futures]
-    tiles = []
-    dropped = 0
-    for kept, n_dropped in results:
-        tiles.extend(kept)
-        dropped += n_dropped
-    tiles.sort(key=lambda t: t.id.key)
-    tef.write_store(tiles, args.out)
-    _print(f"processed tiles  {len(tiles)}")
-    _print(f"outliers dropped {dropped}")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            results = list(pool.map(job, names))
+    index = {key: name for entries, _ in results for key, name in entries.items()}
+    tef.write_index(index, args.out)
+    _print(f"processed tiles  {len(index)}")
+    _print(f"outliers dropped {sum(dropped for _, dropped in results)}")
     return 0
 
 

@@ -91,6 +91,13 @@ def tile_extent_m(tid: TileId) -> float:
     return (b.north - b.south) * METERS_PER_DEGREE
 
 
+def tile_fraction(lon: float, lat: float, zoom: int) -> tuple[float, float]:
+    """Fractional (x, y) grid position of a point, latitude clamped to the Mercator cap."""
+    n = 1 << zoom
+    lat = min(max(lat, -MAX_LATITUDE), MAX_LATITUDE)
+    return (lon + 180.0) / 360.0 * n, (1.0 - math.asinh(math.tan(math.radians(lat))) / math.pi) / 2.0 * n
+
+
 def tile_index(lon: float, lat: float, zoom: int = DEFAULT_ZOOM) -> TileId:
     """Tile containing a geographic point.
 
@@ -98,11 +105,8 @@ def tile_index(lon: float, lat: float, zoom: int = DEFAULT_ZOOM) -> TileId:
     edge of the world grid are pulled into the last row/column.
     """
     n = 1 << zoom
-    lat = min(max(lat, -MAX_LATITUDE), MAX_LATITUDE)
-    x = int(math.floor((lon + 180.0) / 360.0 * n))
-    rad = math.radians(lat)
-    y = int(math.floor((1.0 - math.asinh(math.tan(rad)) / math.pi) / 2.0 * n))
-    return TileId(zoom, min(max(x, 0), n - 1), min(max(y, 0), n - 1))
+    x, y = tile_fraction(lon, lat, zoom)
+    return TileId(zoom, min(max(math.floor(x), 0), n - 1), min(max(math.floor(y), 0), n - 1))
 
 
 def project_local(lon: float, lat: float, origin: tuple[float, float]) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geo import TileId, tile_extent_m, tile_origin, geo_to_norm, MAX_LATITUDE
+from .geo import TileId, tile_extent_m, tile_fraction, tile_origin, geo_to_norm
 from .model import Coord, Entity, Geometry, Tile
 from .seeds import pcg_for
 from .tef import tile_group
@@ -218,14 +218,6 @@ def clip_to_tile(entity: Entity, tid: TileId) -> tuple[list[Entity], int]:
 # ------------------------------------------------------------- assignment
 
 
-def _frac_tile(lon: float, lat: float, zoom: int) -> tuple[float, float]:
-    n = 1 << zoom
-    lat = min(max(lat, -MAX_LATITUDE), MAX_LATITUDE)
-    xf = (lon + 180.0) / 360.0 * n
-    yf = (1.0 - math.asinh(math.tan(math.radians(lat))) / math.pi) / 2.0 * n
-    return xf, yf
-
-
 def candidate_tiles(entity: Entity, zoom: int, margin: float = 0.02) -> list[TileId]:
     """Tiles whose content square might intersect the entity.
 
@@ -235,8 +227,8 @@ def candidate_tiles(entity: Entity, zoom: int, margin: float = 0.02) -> list[Til
     pts = list(entity.geometry.iter_points())
     lons = [p[0] for p in pts]
     lats = [p[1] for p in pts]
-    x0f, y0f = _frac_tile(min(lons), max(lats), zoom)
-    x1f, y1f = _frac_tile(max(lons), min(lats), zoom)
+    x0f, y0f = tile_fraction(min(lons), max(lats), zoom)
+    x1f, y1f = tile_fraction(max(lons), min(lats), zoom)
     n = 1 << zoom
     xs = range(max(0, math.floor(x0f - margin)), min(n - 1, math.floor(x1f + margin)) + 1)
     ys = range(max(0, math.floor(y0f - margin)), min(n - 1, math.floor(y1f + margin)) + 1)

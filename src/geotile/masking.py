@@ -26,15 +26,19 @@ STRATEGY_AREA = "area"
 STRATEGY_MODALITY = "modality"
 STRATEGIES = (STRATEGY_RANDOM, STRATEGY_AREA, STRATEGY_MODALITY)  # strategy_weights order
 
+# Random masking, also the fallback for unimodal samples under modality masking.
+RANDOM_RATIO = 0.45
+RANDOM_NUM_TARGETS = 4
+
 
 @dataclass(frozen=True)
 class MaskConfig:
     """Mixed-strategy defaults; weights follow the pretraining configuration."""
 
     strategy_weights: tuple[float, float, float] = (0.20, 0.60, 0.20)  # random, area, modality
-    random_ratio: float = 0.45
+    random_ratio: float = RANDOM_RATIO
     random_min_ctx: float = 0.10
-    random_num_targets: int = 4
+    random_num_targets: int = RANDOM_NUM_TARGETS
     area_ratio: float = 0.40
     area_min_ctx: float = 0.15
     area_num_targets: int = 4
@@ -171,8 +175,8 @@ def modality_mask(
     valid_lens: Sequence[int],
     seed: int,
     sample_keys: Sequence[str] | None = None,
-    fallback_ratio: float = 0.45,
-    fallback_num_targets: int = 4,
+    fallback_ratio: float = RANDOM_RATIO,
+    fallback_num_targets: int = RANDOM_NUM_TARGETS,
 ) -> MaskPlan:
     """Keep one modality as context, target the rest; unimodal falls back.
 
@@ -270,7 +274,7 @@ def build_plan(batch: TokenBatch, cfg: MaskConfig, strategy: str) -> MaskPlan:
             batch.ids,
         )
     elif strategy == STRATEGY_MODALITY:
-        plan = modality_mask(batch.modality, lens, cfg.seed, batch.ids)
+        plan = modality_mask(batch.modality, lens, cfg.seed, batch.ids, cfg.random_ratio, cfg.random_num_targets)
     else:
         raise ValueError(f"unknown masking strategy {strategy!r}")
     return enforce_min_context(plan, cfg.min_ctx_for(strategy), cfg.seed)

@@ -284,6 +284,21 @@ def _gzip_bytes(data: bytes) -> bytes:
     return buf.getvalue()
 
 
+def write_group(tiles: list[Tile], root: str) -> dict[str, str]:
+    """Write one group's tiles (at least one) to its file under root; returns their tile -> file entries."""
+    members = sorted(tiles, key=lambda t: (t.id.x, t.id.y))
+    name = group_file_name(tile_group(members[0].id))
+    text = "".join(tile_to_json(t) + "\n" for t in members)
+    atomic_write_bytes(os.path.join(root, name), _gzip_bytes(text.encode("utf-8")))
+    return {t.id.key: name for t in members}
+
+
+def write_index(index: dict[str, str], root: str) -> None:
+    """Write the store's index.json; keys are sorted, so its bytes do not depend on the dict's order."""
+    payload = json.dumps({"tiles": index}, indent=1, sort_keys=True)
+    atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
+
+
 def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
     """Write tiles into group files under root; returns the tile -> file index."""
     os.makedirs(root, exist_ok=True)
@@ -292,34 +307,48 @@ def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
         groups[tile_group(tile.id)].append(tile)
     index: dict[str, str] = {}
     for group in sorted(groups):
-        members = sorted(groups[group], key=lambda t: (t.id.x, t.id.y))
-        name = group_file_name(group)
-        text = "".join(tile_to_json(t) + "\n" for t in members)
-        atomic_write_bytes(os.path.join(root, name), _gzip_bytes(text.encode("utf-8")))
-        for t in members:
-            index[t.id.key] = name
-    payload = json.dumps({"tiles": dict(sorted(index.items()))}, indent=1, sort_keys=True)
-    atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
+        index.update(write_group(groups[group], root))
+    write_index(index, root)
     return index
 
 
 def read_store_index(root: str) -> dict[str, str]:
-    with open(os.path.join(root, INDEX_NAME), "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or not isinstance(obj.get("tiles"), dict):
-        raise TefError(f"{root}: malformed store index")
-    return obj["tiles"]
+    """The tile -> group file map of a store; a malformed index raises TefError naming it."""
+    path = os.path.join(root, INDEX_NAME)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # invalid UTF-8 or JSON
+        raise TefError(f"{path}: {exc}") from None
+    index = obj.get("tiles") if isinstance(obj, dict) else None
+    if not isinstance(index, dict):
+        raise TefError(f'{path}: expected {{"tiles": {{tile id: file name}}}}')
+    for key, name in index.items():
+        try:
+            want = group_file_name(tile_group(TileId.parse(key)))
+        except ValueError as exc:
+            raise TefError(f"{path}: {exc}") from None
+        if name != want:
+            raise TefError(f"{path}: tile {key} maps to {name!r}, not {want!r}")
+    return index
 
 
 def read_group_file(path: str) -> list[Tile]:
-    """The tiles of one group file; corrupt gzip data or TEF raises TefError naming the file."""
+    """The tiles of one group file; corrupt gzip data or TEF, or a tile of
+    another group, raises TefError naming the file."""
     try:
         with gzip.open(path, "rb") as fh:
-            return list(parse_tef_lines(fh))
+            tiles = list(parse_tef_lines(fh))
     except TefError as exc:
         raise TefError(f"{path}: {exc}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TefError(f"{path}: corrupt gzip data: {exc}") from None
+    for tile in tiles:
+        want = group_file_name(tile_group(tile.id))
+        if want != os.path.basename(path):
+            raise TefError(f"{path}: tile {tile.id.key} belongs in {want}")
+    return tiles
 
 
 def read_store(root: str) -> list[Tile]:

@@ -53,14 +53,84 @@ def test_process_is_deterministic(pipeline):
         assert 5 <= len(tile.entities) <= 1250
 
 
-def test_process_jobs_matches_serial(tmp_path):
-    # 18050..18053 straddles a group boundary, so two workers get real work
+@pytest.fixture
+def wide(tmp_path):
+    """Raw store of a 4x1 row of tiles; 18050..18053 straddles a group
+    boundary, so it holds two group files and two workers get real work."""
     write_grid_pbf(tmp_path / "wide.pbf", 18050, 25956, 4, 1)
     store = str(tmp_path / "raw")
     assert main(["ingest", str(tmp_path / "wide.pbf"), store]) == 0
+    assert sorted(set(tef.read_store_index(store).values())) == ["16_4512_6489.tefgz", "16_4513_6489.tefgz"]
+    return tmp_path, store
+
+
+def test_process_jobs_matches_serial(wide):
+    tmp_path, store = wide
     assert main(["process", store, str(tmp_path / "serial")]) == 0
     assert main(["process", store, str(tmp_path / "forked"), "--jobs", "2"]) == 0
     assert _store_bytes(str(tmp_path / "serial")) == _store_bytes(str(tmp_path / "forked"))
+
+
+def test_group_whose_tiles_are_all_dropped_gets_no_file(wide, capsys):
+    tmp_path, store = wide
+    thinned = str(tmp_path / "thinned")
+    tef.write_store(
+        [t.with_entities(t.entities[:3]) if t.id.x < 18052 else t for t in tef.read_store(store)], thinned
+    )
+    capsys.readouterr()
+    for jobs in ("1", "2"):
+        assert main(["process", thinned, str(tmp_path / f"jobs{jobs}"), "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == "processed tiles  2\noutliers dropped 2\n"
+    assert _store_bytes(str(tmp_path / "jobs1")) == _store_bytes(str(tmp_path / "jobs2"))
+    assert sorted(os.listdir(tmp_path / "jobs1")) == ["16_4513_6489.tefgz", "index.json"]
+    assert tef.read_store_index(str(tmp_path / "jobs1")) == {
+        "16_18052_25956": "16_4513_6489.tefgz",
+        "16_18053_25956": "16_4513_6489.tefgz",
+    }
+
+
+def test_truncated_group_file_fails_the_process_pool_naming_it(wide, capsys):
+    tmp_path, store = wide
+    path = os.path.join(store, "16_4513_6489.tefgz")
+    os.truncate(path, os.path.getsize(path) // 2)
+    capsys.readouterr()
+    assert main(["process", store, str(tmp_path / "proc"), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err.startswith(f"geotile: {path}: corrupt gzip data: ")
+
+
+def test_tile_in_the_wrong_group_file_is_rejected(wide, capsys):
+    tmp_path, store = wide
+    path = os.path.join(store, "16_4513_6489.tefgz")
+    with open(os.path.join(store, "16_4512_6489.tefgz"), "rb") as src, open(path, "wb") as dst:
+        dst.write(src.read())
+    want = f"{path}: tile 16_18050_25956 belongs in 16_4512_6489.tefgz"
+    with pytest.raises(tef.TefError) as err:
+        tef.read_store(store)
+    assert str(err.value) == want
+    capsys.readouterr()
+    for jobs in ("1", "2"):
+        assert main(["process", store, str(tmp_path / "proc"), "--jobs", jobs]) == 1
+        assert capsys.readouterr().err == f"geotile: {want}\n"
+
+
+def test_failed_process_leaves_no_index_over_an_earlier_store(wide):
+    tmp_path, store = wide
+    out = str(tmp_path / "proc")
+    assert main(["process", store, out]) == 0
+    path = os.path.join(store, "16_4513_6489.tefgz")
+    os.truncate(path, os.path.getsize(path) - 4)
+    assert main(["process", store, out]) == 1
+    assert not os.path.exists(os.path.join(out, tef.INDEX_NAME))
+
+
+def test_malformed_index_fails_process_naming_it(wide, capsys):
+    tmp_path, store = wide
+    index = os.path.join(store, tef.INDEX_NAME)
+    with open(index, "w", encoding="utf-8") as fh:
+        fh.write('{"tiles": {"16_18050_25956": 12}}')
+    capsys.readouterr()
+    assert main(["process", store, str(tmp_path / "proc")]) == 1
+    assert capsys.readouterr().err == f"geotile: {index}: tile 16_18050_25956 maps to 12, not '16_4512_6489.tefgz'\n"
 
 
 def test_process_default_eps_is_the_library_default(pipeline):
@@ -185,10 +255,7 @@ def test_truncated_group_file_fails_process_naming_it(pipeline, capsys):
     tmp_path, store, proc = pipeline
     name = sorted(set(tef.read_store_index(store).values()))[0]
     path = os.path.join(store, name)
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    with open(path, "wb") as fh:
-        fh.write(raw[: len(raw) // 2])
+    os.truncate(path, os.path.getsize(path) // 2)
     capsys.readouterr()
     assert main(["process", store, str(tmp_path / "proc2")]) == 1
     assert capsys.readouterr().err.startswith(f"geotile: {path}: corrupt gzip data: ")

@@ -286,6 +286,16 @@ def test_build_plan_runs_each_strategy_and_rejects_others():
         build_plan(batch, cfg, "grid")
 
 
+def test_unimodal_fallback_reads_the_config_random_settings():
+    batch = _uniform_batch(3, 60, seed=3)
+    cfg = MaskConfig(seed=9, random_ratio=0.3, random_num_targets=2)
+    plan = build_plan(batch, cfg, "modality")
+    assert plan.fallbacks == 3
+    assert plan.samples == build_plan(batch, cfg, "random").samples
+    for s in plan.samples:
+        assert [len(t) for t in s.targets] == [18, 18]
+
+
 def test_plan_masks_mixed_modality_floor():
     modality = np.ones((1, 201), dtype=np.int32)
     modality[0, 5:] = 2

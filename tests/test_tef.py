@@ -276,3 +276,33 @@ def test_group_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
         read_group_file(str(path))
     at = text.index(b"\xff")
     assert str(err.value) == f"{path}: tile: invalid UTF-8 at byte {at} (line 1)"
+
+
+def test_tile_of_another_group_names_the_file(tmp_path):
+    path = _group_file(tmp_path)
+    moved = tmp_path / group_file_name((16, 4514, 6489))
+    path.rename(moved)
+    with pytest.raises(TefError) as err:
+        read_group_file(str(moved))
+    assert str(err.value) == f"{moved}: tile 16_18052_25957 belongs in 16_4513_6489.tefgz"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (b'{"tiles": {"16_1_2": ', "Expecting value: line 1 column 22 (char 21)"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"tiles": []}', 'expected {"tiles": {tile id: file name}}'),
+        (b"[]", 'expected {"tiles": {tile id: file name}}'),
+        (b'{"tiles": {"16_1": "16_0_0.tefgz"}}', "malformed tile id '16_1'"),
+        (b'{"tiles": {"16_1_2": "../../../etc/x.tefgz"}}', "tile 16_1_2 maps to '../../../etc/x.tefgz', not '16_0_0.tefgz'"),
+        (b'{"tiles": {"16_1_2": 12}}', "tile 16_1_2 maps to 12, not '16_0_0.tefgz'"),
+        (b'{"tiles": {"16_5_2": "16_0_0.tefgz"}}', "tile 16_5_2 maps to '16_0_0.tefgz', not '16_1_0.tefgz'"),
+    ],
+    ids=["truncated", "not-utf8", "tiles-list", "not-object", "bad-key", "traversal", "number", "other-group"],
+)
+def test_malformed_store_index_names_it(tmp_path, raw, message):
+    (tmp_path / "index.json").write_bytes(raw)
+    with pytest.raises(TefError) as err:
+        read_store_index(str(tmp_path))
+    assert str(err.value).startswith(f"{tmp_path / 'index.json'}: {message}")
