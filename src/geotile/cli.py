@@ -26,7 +26,7 @@ import time
 from collections import Counter
 from typing import TYPE_CHECKING
 
-from . import ingest, tef
+from . import geo, ingest, tef
 from .model import tag_key
 from .seeds import derive_seed
 
@@ -155,15 +155,19 @@ def cmd_encode(args) -> int:
 
 
 def _load_batch_with_ids(path: str) -> TokenBatch:
+    """The batch with its tile ids from the `.ids` sidecar; without one, ids stay 0..n-1."""
     from . import tokens
 
     batch = tokens.load_token_batch(path)
     sidecar = path + ".ids"
-    if os.path.exists(sidecar):
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            ids = tuple(line.strip() for line in fh if line.strip())
-        if len(ids) == batch.size:
-            batch.ids = ids
+    try:
+        with open(sidecar, "rb") as fh:
+            ids = tuple(line.strip() for line in tef.utf8_lines(fh, sidecar) if line.strip())
+    except FileNotFoundError:
+        return batch
+    if len(ids) != batch.size:
+        raise ValueError(f"{sidecar}: {len(ids)} ids for a batch of {batch.size} samples")
+    batch.ids = ids
     return batch
 
 
@@ -197,12 +201,14 @@ def cmd_loss_check(args) -> int:
     if pred.payload.shape != target.payload.shape:
         raise ValueError("prediction and target dumps have different shapes")
     valid = pred.valid_mask()
-    huber = training.huber_masked(pred.payload, target.payload, valid, beta=args.beta, per_token=args.per_token)
+    beta = training.HUBER_BETA if args.beta is None else args.beta
+    vicreg_beta = training.VICREG_BETA if args.vicreg_beta is None else args.vicreg_beta
+    huber = training.huber_masked(pred.payload, target.payload, valid, beta=beta, per_token=args.per_token)
     var, cov = training.vicreg_var_cov(pred.payload, valid)
     _print(f"huber      {huber!r}")
     _print(f"variance   {var!r}")
     _print(f"covariance {cov!r}")
-    _print(f"total      {training.total_loss(huber, var, cov, args.vicreg_beta)!r}")
+    _print(f"total      {training.total_loss(huber, var, cov, vicreg_beta)!r}")
     return 0
 
 
@@ -269,17 +275,24 @@ def cmd_knn(args) -> int:
     return 0
 
 
+# schedule's flags, each with the ScheduleConfig field it sets.
+_SCHEDULE_FLAGS = (
+    ("--lr-base", "lr_base"),
+    ("--lr-end", "lr_end"),
+    ("--wd-init", "weight_decay_init"),
+    ("--wd-end", "weight_decay_end"),
+    ("--momentum-init", "momentum_init"),
+    ("--momentum-end", "momentum_end"),
+)
+
+
 def cmd_schedule(args) -> int:
     from . import training
 
+    # An unset flag leaves the field's default.
+    given = {field: getattr(args, field) for _, field in _SCHEDULE_FLAGS}
     cfg = training.ScheduleConfig(
-        total_steps=args.total_steps,
-        lr_base=args.lr_base,
-        lr_end=args.lr_end,
-        weight_decay_init=args.wd_init,
-        weight_decay_end=args.wd_end,
-        momentum_init=args.momentum_init,
-        momentum_end=args.momentum_end,
+        total_steps=args.total_steps, **{field: v for field, v in given.items() if v is not None}
     )
     if args.dump:
         tef.atomic_write_bytes(args.dump, training.schedule_table(cfg).encode("utf-8"))
@@ -301,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse a PBF extract into a tile store")
     p.add_argument("pbf")
     p.add_argument("store")
-    p.add_argument("--zoom", type=int, default=16)
+    p.add_argument("--zoom", type=int, default=geo.DEFAULT_ZOOM, help="tile zoom level (default: geo.DEFAULT_ZOOM)")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("process", help="simplify, attach min-boxes and visibility graphs, filter outliers")
@@ -336,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("loss-check", help="loss kernels over two token-batch dumps")
     p.add_argument("pred")
     p.add_argument("target")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--vicreg-beta", type=float, default=0.05)
+    p.add_argument("--beta", type=float, help="Huber transition point (default: training.HUBER_BETA)")
+    p.add_argument("--vicreg-beta", type=float, help="VICReg term weight (default: training.VICREG_BETA)")
     p.add_argument("--per-token", action="store_true")
     p.set_defaults(func=cmd_loss_check)
 
@@ -359,12 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="inspect or dump the training schedules")
     p.add_argument("--total-steps", type=int, required=True)
     p.add_argument("--dump", help="write step,lr,wd,momentum CSV here")
-    p.add_argument("--lr-base", type=float, default=1e-3)
-    p.add_argument("--lr-end", type=float, default=1e-6)
-    p.add_argument("--wd-init", type=float, default=0.04)
-    p.add_argument("--wd-end", type=float, default=0.4)
-    p.add_argument("--momentum-init", type=float, default=0.997)
-    p.add_argument("--momentum-end", type=float, default=1.0)
+    for flag, field in _SCHEDULE_FLAGS:
+        p.add_argument(flag, dest=field, type=float, help=f"(default: training.ScheduleConfig.{field})")
     p.set_defaults(func=cmd_schedule)
 
     return parser

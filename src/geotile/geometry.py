@@ -124,15 +124,15 @@ def box_sides(box: MinBox) -> tuple[float, float]:
     )
 
 
-def _rect_to_box(x0: float, y0: float, x1: float, y1: float, phi: float, min_side: float) -> MinBox:
+def _rect_to_box(x0: float, y0: float, x1: float, y1: float, phi: float) -> MinBox:
     # Expand to the minimum side symmetrically in the rotated frame, then
     # rotate the corners back by phi.
-    if x1 - x0 < min_side:
+    if x1 - x0 < MIN_BOX_SIDE:
         cx = 0.5 * (x0 + x1)
-        x0, x1 = cx - 0.5 * min_side, cx + 0.5 * min_side
-    if y1 - y0 < min_side:
+        x0, x1 = cx - 0.5 * MIN_BOX_SIDE, cx + 0.5 * MIN_BOX_SIDE
+    if y1 - y0 < MIN_BOX_SIDE:
         cy = 0.5 * (y0 + y1)
-        y0, y1 = cy - 0.5 * min_side, cy + 0.5 * min_side
+        y0, y1 = cy - 0.5 * MIN_BOX_SIDE, cy + 0.5 * MIN_BOX_SIDE
     c, s = math.cos(phi), math.sin(phi)
     corners = []
     for rx, ry in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
@@ -140,18 +140,17 @@ def _rect_to_box(x0: float, y0: float, x1: float, y1: float, phi: float, min_sid
     return MinBox(tuple(corners))
 
 
-def _segment_box(a: Coord, b: Coord, min_side: float) -> MinBox:
+def _segment_box(a: Coord, b: Coord) -> MinBox:
     phi = math.atan2(b[1] - a[1], b[0] - a[0])
     c, s = math.cos(-phi), math.sin(-phi)
     ax, ay = c * a[0] - s * a[1], s * a[0] + c * a[1]
     bx = c * b[0] - s * b[1]
-    return _rect_to_box(min(ax, bx), ay, max(ax, bx), ay, phi, min_side)
+    return _rect_to_box(min(ax, bx), ay, max(ax, bx), ay, phi)
 
 
 def min_area_box(
     points: Sequence[Coord],
     *,
-    min_side: float = MIN_BOX_SIDE,
     step_deg: float = BOX_SCAN_STEP_DEG,
     rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
 ) -> MinBox:
@@ -160,9 +159,9 @@ def min_area_box(
     The convex hull is scanned at rotations 0, step_deg, ... below 180 and
     the smallest axis-aligned box among those rotations wins; with the
     default 10 degree step that is 18 candidate orientations.  Both sides are
-    afterwards expanded symmetrically to at least min_side.
+    afterwards expanded symmetrically to at least MIN_BOX_SIDE.
 
-    A single distinct point becomes a min_side square rotated uniformly in
+    A single distinct point becomes a MIN_BOX_SIDE square rotated uniformly in
     [0, 180) degrees drawn from rng (axis-aligned when rng is None), so point
     features do not all share one orientation.  rng may also be a
     zero-argument factory, called only in that case, so callers need not
@@ -177,9 +176,9 @@ def min_area_box(
         p = hull[0]
         c, s = math.cos(-angle), math.sin(-angle)
         rx, ry = c * p[0] - s * p[1], s * p[0] + c * p[1]
-        return _rect_to_box(rx, ry, rx, ry, angle, min_side)
+        return _rect_to_box(rx, ry, rx, ry, angle)
     if len(hull) == 2:
-        return _segment_box(hull[0], hull[1], min_side)
+        return _segment_box(hull[0], hull[1])
 
     hx = np.array([p[0] for p in hull])
     hy = np.array([p[1] for p in hull])
@@ -197,19 +196,15 @@ def min_area_box(
             best = (area, x0, y0, x1, y1, phi)
     assert best is not None
     _, x0, y0, x1, y1, phi = best
-    return _rect_to_box(x0, y0, x1, y1, phi, min_side)
+    return _rect_to_box(x0, y0, x1, y1, phi)
 
 
 def geometry_min_box(
-    geom: Geometry,
-    *,
-    min_side: float = MIN_BOX_SIDE,
-    step_deg: float = BOX_SCAN_STEP_DEG,
-    rng: np.random.Generator | Callable[[], np.random.Generator] | None = None,
+    geom: Geometry, *, rng: np.random.Generator | Callable[[], np.random.Generator] | None = None
 ) -> MinBox:
-    """Oriented box for any geometry kind.
+    """Oriented box for any geometry kind, scanned at BOX_SCAN_STEP_DEG.
 
     Ring-closing repeats go to min_area_box with the other points; its convex
     hull drops repeated points, so they change nothing.
     """
-    return min_area_box(list(geom.iter_points()), min_side=min_side, step_deg=step_deg, rng=rng)
+    return min_area_box(list(geom.iter_points()), rng=rng)

@@ -33,6 +33,7 @@ MAX_TILE_ENTITIES = 1250
 DEGENERATE_AREA = 1e-12
 
 SPLIT_NAMES = ("train", "val", "test")
+CANDIDATE_MARGIN = 0.02  # tile fractions added around an entity's bounding box
 
 
 # ---------------------------------------------------------------- clipping
@@ -218,10 +219,10 @@ def clip_to_tile(entity: Entity, tid: TileId) -> tuple[list[Entity], int]:
 # ------------------------------------------------------------- assignment
 
 
-def candidate_tiles(entity: Entity, zoom: int, margin: float = 0.02) -> list[TileId]:
+def candidate_tiles(entity: Entity, zoom: int) -> list[TileId]:
     """Tiles whose content square might intersect the entity.
 
-    The margin absorbs the small mismatch between geographic tile bounds and
+    CANDIDATE_MARGIN absorbs the small mismatch between geographic tile bounds and
     the normalised content square.
     """
     pts = list(entity.geometry.iter_points())
@@ -229,7 +230,7 @@ def candidate_tiles(entity: Entity, zoom: int, margin: float = 0.02) -> list[Til
     lats = [p[1] for p in pts]
     x0f, y0f = tile_fraction(min(lons), max(lats), zoom)
     x1f, y1f = tile_fraction(max(lons), min(lats), zoom)
-    n = 1 << zoom
+    n, margin = 1 << zoom, CANDIDATE_MARGIN
     xs = range(max(0, math.floor(x0f - margin)), min(n - 1, math.floor(x1f + margin)) + 1)
     ys = range(max(0, math.floor(y0f - margin)), min(n - 1, math.floor(y1f + margin)) + 1)
     return [TileId(zoom, x, y) for x in xs for y in ys]
@@ -499,14 +500,13 @@ def split_groups(
     group_keys: Iterable[tuple[int, int, int]],
     ratios: Sequence[float],
     seed: int,
-    names: Sequence[str] = SPLIT_NAMES,
 ) -> dict[str, list[tuple[int, int, int]]]:
-    """Assign whole groups to splits with largest-remainder rounding.
+    """Assign whole groups to the SPLIT_NAMES splits with largest-remainder rounding.
 
     Groups are shuffled deterministically under the seed; quota remainders
     are broken by split order.  Tiles of one group never straddle splits.
     """
-    if len(ratios) != len(names):
+    if len(ratios) != len(SPLIT_NAMES):
         raise ValueError("one ratio per split name required")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
@@ -522,7 +522,7 @@ def split_groups(
         counts[i] += 1
     out: dict[str, list[tuple[int, int, int]]] = {}
     pos = 0
-    for name, count in zip(names, counts):
+    for name, count in zip(SPLIT_NAMES, counts):
         out[name] = sorted(keys[pos : pos + count])
         pos += count
     return out

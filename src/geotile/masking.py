@@ -24,43 +24,30 @@ log = logging.getLogger(__name__)
 STRATEGY_RANDOM = "random"
 STRATEGY_AREA = "area"
 STRATEGY_MODALITY = "modality"
-STRATEGIES = (STRATEGY_RANDOM, STRATEGY_AREA, STRATEGY_MODALITY)  # strategy_weights order
+STRATEGIES = (STRATEGY_RANDOM, STRATEGY_AREA, STRATEGY_MODALITY)
+# Pretraining configuration: one batch's strategy is drawn with these weights,
+# in STRATEGIES order.
+STRATEGY_WEIGHTS = (0.20, 0.60, 0.20)
 
 # Random masking, also the fallback for unimodal samples under modality masking.
 RANDOM_RATIO = 0.45
 RANDOM_NUM_TARGETS = 4
+AREA_RATIO = 0.40
+AREA_NUM_TARGETS = 4
+AREA_ASPECT_RANGE = (0.5, 2.0)
+# Smallest context share each strategy's plans keep (enforce_min_context).
+MIN_CONTEXT = {STRATEGY_RANDOM: 0.10, STRATEGY_AREA: 0.15, STRATEGY_MODALITY: 0.15}
+HISTOGRAM_BINS = 10
 
 
 @dataclass(frozen=True)
 class MaskConfig:
-    """Mixed-strategy defaults; weights follow the pretraining configuration."""
+    """The plan seed; ratios, targets and weights are the module constants."""
 
-    strategy_weights: tuple[float, float, float] = (0.20, 0.60, 0.20)  # random, area, modality
-    random_ratio: float = RANDOM_RATIO
-    random_min_ctx: float = 0.10
-    random_num_targets: int = RANDOM_NUM_TARGETS
-    area_ratio: float = 0.40
-    area_min_ctx: float = 0.15
-    area_num_targets: int = 4
-    area_aspect_range: tuple[float, float] = (0.5, 2.0)
-    modality_min_ctx: float = 0.15
     seed: int = 0
 
-    def __post_init__(self):
-        if abs(sum(self.strategy_weights) - 1.0) > 1e-9:
-            raise ValueError("strategy weights must sum to 1")
-        for r in (self.random_ratio, self.area_ratio):
-            if not 0.0 < r < 1.0:
-                raise ValueError("mask ratios must lie in (0, 1)")
-        if min(self.random_num_targets, self.area_num_targets) < 1:
-            raise ValueError("need at least one target")
-
     def min_ctx_for(self, strategy: str) -> float:
-        return {
-            STRATEGY_RANDOM: self.random_min_ctx,
-            STRATEGY_AREA: self.area_min_ctx,
-            STRATEGY_MODALITY: self.modality_min_ctx,
-        }[strategy]
+        return MIN_CONTEXT[strategy]
 
 
 @dataclass(frozen=True)
@@ -175,10 +162,8 @@ def modality_mask(
     valid_lens: Sequence[int],
     seed: int,
     sample_keys: Sequence[str] | None = None,
-    fallback_ratio: float = RANDOM_RATIO,
-    fallback_num_targets: int = RANDOM_NUM_TARGETS,
 ) -> MaskPlan:
-    """Keep one modality as context, target the rest; unimodal falls back.
+    """Keep one modality as context, target the rest; unimodal falls back to random.
 
     The context modality is chosen uniformly per sample; each remaining
     modality becomes one target holding all of its tokens.
@@ -190,7 +175,7 @@ def modality_mask(
         present = np.unique(mods).tolist()
         if len(present) < 2:
             log.debug("sample %s is unimodal; falling back to random masking", key)
-            plan.samples.append(_random_sample(key, n, fallback_ratio, fallback_num_targets, seed))
+            plan.samples.append(_random_sample(key, n, RANDOM_RATIO, RANDOM_NUM_TARGETS, seed))
             plan.fallbacks += 1
             continue
         rng = rng_for(seed, "modality", key)
@@ -246,12 +231,11 @@ def enforce_min_context(plan: MaskPlan, min_ctx: float, seed: int) -> MaskPlan:
     return out
 
 
-def select_strategy(cfg: MaskConfig, batch_index: int, seed: int | None = None) -> str:
+def select_strategy(cfg: MaskConfig, batch_index: int) -> str:
     """Weighted strategy choice, fixed per batch so batch kernels stay uniform."""
-    root = cfg.seed if seed is None else seed
-    r = rng_for(root, "strategy", str(batch_index)).uniform()
+    r = rng_for(cfg.seed, "strategy", str(batch_index)).uniform()
     acc = 0.0
-    for name, w in zip(STRATEGIES, cfg.strategy_weights):
+    for name, w in zip(STRATEGIES, STRATEGY_WEIGHTS):
         acc += w
         if r < acc:
             return name
@@ -262,19 +246,12 @@ def build_plan(batch: TokenBatch, cfg: MaskConfig, strategy: str) -> MaskPlan:
     """Mask every sample of the batch with one strategy, then enforce its min context."""
     lens = [int(n) for n in batch.valid_len]
     if strategy == STRATEGY_RANDOM:
-        plan = random_mask(lens, cfg.random_ratio, cfg.random_num_targets, cfg.seed, batch.ids)
+        plan = random_mask(lens, RANDOM_RATIO, RANDOM_NUM_TARGETS, cfg.seed, batch.ids)
     elif strategy == STRATEGY_AREA:
-        plan = area_mask(
-            box_centres(batch.boxes),
-            lens,
-            cfg.area_ratio,
-            cfg.area_num_targets,
-            cfg.area_aspect_range,
-            cfg.seed,
-            batch.ids,
-        )
+        centres = box_centres(batch.boxes)
+        plan = area_mask(centres, lens, AREA_RATIO, AREA_NUM_TARGETS, AREA_ASPECT_RANGE, cfg.seed, batch.ids)
     elif strategy == STRATEGY_MODALITY:
-        plan = modality_mask(batch.modality, lens, cfg.seed, batch.ids, cfg.random_ratio, cfg.random_num_targets)
+        plan = modality_mask(batch.modality, lens, cfg.seed, batch.ids)
     else:
         raise ValueError(f"unknown masking strategy {strategy!r}")
     return enforce_min_context(plan, cfg.min_ctx_for(strategy), cfg.seed)
@@ -354,9 +331,9 @@ def plan_to_json_lines(plan: MaskPlan) -> str:
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def context_fraction_histogram(plan: MaskPlan, bins: int = 10) -> list[tuple[float, float, int]]:
-    """(low, high, count) rows over per-sample context fractions."""
-    edges = np.linspace(0.0, 1.0, bins + 1)
+def context_fraction_histogram(plan: MaskPlan) -> list[tuple[float, float, int]]:
+    """(low, high, count) rows over per-sample context fractions, HISTOGRAM_BINS of them."""
+    edges = np.linspace(0.0, 1.0, HISTOGRAM_BINS + 1)
     fracs = [s.context_fraction() for s in plan.samples]
     counts, _ = np.histogram(fracs, bins=edges)
-    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(bins)]
+    return [(float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(HISTOGRAM_BINS)]

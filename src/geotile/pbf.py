@@ -5,9 +5,9 @@ types the OSM container uses (BlobHeader, Blob, HeaderBlock, PrimitiveBlock
 with dense nodes, ways and relations).  Reading is two-pass: raw elements
 first, then node coordinates are resolved into ways; elements with
 unresolvable references are dropped and counted.  Malformed input raises
-PbfError carrying the byte offset of the failure.  Header and blob sizes
-are held to the format's limits, and a compressed blob is inflated no
-further than its declared raw_size.
+PbfError naming the file and the byte offset of the failure.  Header and
+blob sizes are held to the format's limits, and a compressed blob is
+inflated no further than its declared raw_size.
 
 The writer exists so tests and demos can author small fixture files; it
 emits a single zlib-compressed primitive block per call.
@@ -235,15 +235,15 @@ def _parse_node(buf: bytes, base: int, table: list[str], coord, out: PbfData) ->
     keys: list[int] = []
     vals: list[int] = []
     for fnum, wt, val in _fields(buf, base):
-        if fnum == 1:
+        if fnum == 1 and wt == 0:
             nid = _zigzag(val)
         elif fnum == 2 and wt == 2:
             keys = _packed_uvarints(val, base)
         elif fnum == 3 and wt == 2:
             vals = _packed_uvarints(val, base)
-        elif fnum == 8:
+        elif fnum == 8 and wt == 0:
             lat = _zigzag(val)
-        elif fnum == 9:
+        elif fnum == 9 and wt == 0:
             lon = _zigzag(val)
     if nid is None or lat is None or lon is None:
         raise PbfError("node missing id or coordinates", base)
@@ -258,7 +258,7 @@ def _parse_way(buf: bytes, base: int, table: list[str], out: PbfData) -> None:
     vals: list[int] = []
     refs: list[int] = []
     for fnum, wt, val in _fields(buf, base):
-        if fnum == 1:
+        if fnum == 1 and wt == 0:
             wid = val
         elif fnum == 2 and wt == 2:
             keys = _packed_uvarints(val, base)
@@ -279,7 +279,7 @@ def _parse_relation(buf: bytes, base: int, table: list[str], out: PbfData) -> No
     memids: list[int] = []
     types: list[int] = []
     for fnum, wt, val in _fields(buf, base):
-        if fnum == 1:
+        if fnum == 1 and wt == 0:
             rid = val
         elif fnum == 2 and wt == 2:
             keys = _packed_uvarints(val, base)
@@ -396,37 +396,41 @@ def read_pbf(path: str) -> PbfData:
         data = fh.read()
     pos = 0
     saw_header = False
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise PbfError("truncated blob header length", pos)
-        (header_len,) = struct.unpack(">I", data[pos : pos + 4])
-        if header_len > MAX_BLOB_HEADER_SIZE:
-            raise PbfError(f"blob header of {header_len} bytes exceeds {MAX_BLOB_HEADER_SIZE}", pos)
-        header_start = pos + 4
-        if header_start + header_len > len(data):
-            raise PbfError("truncated blob header", pos)
-        blob_type = None
-        datasize = None
-        for fnum, wt, val in _fields(data[header_start : header_start + header_len], header_start):
-            if fnum == 1 and wt == 2:
-                blob_type = _text(val, "blob type", header_start)
-            elif fnum == 3 and wt == 0:
-                datasize = val
-        if blob_type is None or datasize is None:
-            raise PbfError("blob header missing type or datasize", pos)
-        if datasize > MAX_BLOB_SIZE:
-            raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
-        blob_start = header_start + header_len
-        if blob_start + datasize > len(data):
-            raise PbfError("truncated blob", blob_start)
-        block = _decode_blob(data[blob_start : blob_start + datasize], blob_start)
-        if blob_type == "OSMHeader":
-            _parse_header_block(block, blob_start)
-            saw_header = True
-        elif blob_type == "OSMData":
-            _parse_primitive_block(block, blob_start, out)
-        # Unknown blob types are skipped, as the format prescribes.
-        pos = blob_start + datasize
+    try:
+        while pos < len(data):
+            if pos + 4 > len(data):
+                raise PbfError("truncated blob header length", pos)
+            (header_len,) = struct.unpack(">I", data[pos : pos + 4])
+            if header_len > MAX_BLOB_HEADER_SIZE:
+                raise PbfError(f"blob header of {header_len} bytes exceeds {MAX_BLOB_HEADER_SIZE}", pos)
+            header_start = pos + 4
+            if header_start + header_len > len(data):
+                raise PbfError("truncated blob header", pos)
+            blob_type = None
+            datasize = None
+            for fnum, wt, val in _fields(data[header_start : header_start + header_len], header_start):
+                if fnum == 1 and wt == 2:
+                    blob_type = _text(val, "blob type", header_start)
+                elif fnum == 3 and wt == 0:
+                    datasize = val
+            if blob_type is None or datasize is None:
+                raise PbfError("blob header missing type or datasize", pos)
+            if datasize > MAX_BLOB_SIZE:
+                raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
+            blob_start = header_start + header_len
+            if blob_start + datasize > len(data):
+                raise PbfError("truncated blob", blob_start)
+            block = _decode_blob(data[blob_start : blob_start + datasize], blob_start)
+            if blob_type == "OSMHeader":
+                _parse_header_block(block, blob_start)
+                saw_header = True
+            elif blob_type == "OSMData":
+                _parse_primitive_block(block, blob_start, out)
+            # Unknown blob types are skipped, as the format prescribes.
+            pos = blob_start + datasize
+    except PbfError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
     if not saw_header and (out.nodes or out.ways or out.relations):
         log.warning("PBF file %s has no OSMHeader blob", path)
     _resolve(out)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 from functools import partial
 
-from .geometry import MIN_BOX_SIDE, douglas_peucker, geometry_min_box
+from .geometry import douglas_peucker, geometry_min_box
 from .model import Entity, Geometry, Tile
 from .seeds import rng_for
 from .visibility import visibility_edges
@@ -39,7 +39,7 @@ def simplify_geometry(geom: Geometry, eps: float) -> Geometry:
 def process_entity(entity: Entity, tile: Tile, eps_norm: float, seed: int) -> Entity:
     geom = simplify_geometry(entity.geometry, eps_norm)
     rng = partial(rng_for, seed, "minbox", tile.id.key, entity.id)
-    minbox = geometry_min_box(geom, min_side=MIN_BOX_SIDE, rng=rng)
+    minbox = geometry_min_box(geom, rng=rng)
     visgraph = visibility_edges(geom) if geom.kind == "multipolygon" else None
     return replace(entity, geometry=geom, minbox=minbox, visgraph=visgraph)
 

@@ -79,6 +79,9 @@ class TaskSpec:
     rebalance_zero_keep: float | None = None
 
     def __post_init__(self):
+        # The name becomes part of output file names, so it must not leave the output directory.
+        if "/" in self.name or "\\" in self.name or self.name in ("", ".", ".."):
+            raise ValueError(f"task name {self.name!r} must be a plain file name part")
         if self.label_kind not in ("count", "binary", "max_value"):
             raise ValueError(f"unknown label kind {self.label_kind!r}")
         lo, hi = self.clamp_range
@@ -88,40 +91,74 @@ class TaskSpec:
             raise ValueError("a task needs at least one counted pattern")
 
 
-def load_task(source: str) -> TaskSpec:
-    """Load a task from a bundled name or a JSON file path."""
-    if source in BUNDLED_TASKS:
-        text = resources.files("geotile").joinpath(f"taskconfigs/{source}.json").read_text("utf-8")
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError(f"{source}: a task must be a JSON object")
+_JSON_KINDS = {str: "a string", list: "a list", dict: "a JSON object", bool: "true or false", float: "a number"}
+
+
+def _expect(value, kind: type, what: str):
+    """value as the JSON kind asked for (float: any number, but not true/false); else ValueError."""
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    return float(value) if kind is float else value
+
+
+def _optional(obj: dict, key: str, kind: type, default=None):
+    return _expect(obj[key], kind, repr(key)) if key in obj else default
+
+
+def _patterns(value, what: str) -> tuple[TagPattern, ...]:
+    return tuple(TagPattern.parse(_expect(p, str, f"{what} entry")) for p in _expect(value, list, what))
+
+
+def _task_from_json(obj) -> TaskSpec:
+    _expect(obj, dict, "a task")
     missing = [key for key in ("name", "counted", "label", "clamp") if key not in obj]
     if missing:
-        raise ValueError(f"{source}: task is missing required key(s) {', '.join(map(repr, missing))}")
-    mask = obj.get("mask", {})
-    sentinel = obj.get("sentinel", {})
+        raise ValueError(f"task is missing required key(s) {', '.join(map(repr, missing))}")
+    clamp = _expect(obj["clamp"], list, "'clamp'")
+    if len(clamp) != 2:
+        raise ValueError("'clamp' must hold two numbers")
+    mask = _optional(obj, "mask", dict, {})
+    rules = []
+    for r in _optional(mask, "rules", list, []):
+        if "action" not in _expect(r, dict, "a mask rule") or "pattern" not in r:
+            raise ValueError("a mask rule needs 'action' and 'pattern'")
+        pattern = TagPattern.parse(_expect(r["pattern"], str, "'pattern'"))
+        rules.append(MaskRule(_expect(r["action"], str, "'action'"), pattern))
+    sentinel = _optional(obj, "sentinel", dict, {})
+    when_no_match = _optional(sentinel, "when_no_match", str)
+    rebalance = _optional(obj, "rebalance", dict)
+    if rebalance is not None and "zero_keep" not in rebalance:
+        raise ValueError("'rebalance' needs 'zero_keep'")
     return TaskSpec(
-        name=obj["name"],
-        counted=tuple(TagPattern.parse(p) for p in obj["counted"]),
-        require_all=tuple(TagPattern.parse(p) for p in obj.get("require_all", ())),
-        label_kind=obj["label"],
-        clamp_range=(float(obj["clamp"][0]), float(obj["clamp"][1])),
-        mask_rules=tuple(
-            MaskRule(r["action"], TagPattern.parse(r["pattern"])) for r in mask.get("rules", ())
-        ),
-        mask_counted=bool(mask.get("counted", True)),
-        sentinel_value=float(sentinel["value"]) if "value" in sentinel else None,
-        sentinel_when_no_match=(
-            TagPattern.parse(sentinel["when_no_match"]) if "when_no_match" in sentinel else None
-        ),
-        prune_when_unlabelled=bool(obj.get("prune_when_unlabelled", False)),
-        rebalance_zero_keep=(
-            float(obj["rebalance"]["zero_keep"]) if "rebalance" in obj else None
-        ),
+        name=_expect(obj["name"], str, "'name'"),
+        counted=_patterns(obj["counted"], "'counted'"),
+        require_all=_patterns(obj.get("require_all", []), "'require_all'"),
+        label_kind=_expect(obj["label"], str, "'label'"),
+        clamp_range=(_expect(clamp[0], float, "'clamp'"), _expect(clamp[1], float, "'clamp'")),
+        mask_rules=tuple(rules),
+        mask_counted=_optional(mask, "counted", bool, True),
+        sentinel_value=_optional(sentinel, "value", float),
+        sentinel_when_no_match=None if when_no_match is None else TagPattern.parse(when_no_match),
+        prune_when_unlabelled=_optional(obj, "prune_when_unlabelled", bool, False),
+        rebalance_zero_keep=None if rebalance is None else _expect(rebalance["zero_keep"], float, "'zero_keep'"),
     )
+
+
+def load_task(source: str) -> TaskSpec:
+    """Load a task from a bundled name or a JSON file path.
+
+    Every way the JSON can fail, a value of the wrong kind included, raises
+    ValueError starting with the source.
+    """
+    if source in BUNDLED_TASKS:
+        raw = resources.files("geotile").joinpath(f"taskconfigs/{source}.json").read_bytes()
+    else:
+        with open(source, "rb") as fh:
+            raw = fh.read()
+    try:
+        return _task_from_json(json.loads(raw.decode("utf-8")))
+    except (ValueError, OverflowError) as exc:  # float() overflows on a huge JSON integer
+        raise ValueError(f"{source}: {exc}") from None
 
 
 # ------------------------------------------------------------------ labels

@@ -49,18 +49,15 @@ class TagVocab:
         return tag in self.index
 
 
-def prune_vocab(
-    counts: Mapping[str, int],
-    min_occurrences: int = VOCAB_MIN_OCCURRENCES,
-    max_size: int = VOCAB_MAX_SIZE,
-) -> TagVocab:
-    """Keep tags seen at least min_occurrences times, most frequent first.
+def prune_vocab(counts: Mapping[str, int]) -> TagVocab:
+    """Keep tags seen at least VOCAB_MIN_OCCURRENCES times, most frequent first.
 
-    Ties sort lexicographically so two builds of the same corpus agree.
+    At most VOCAB_MAX_SIZE survive.  Ties sort lexicographically so two
+    builds of the same corpus agree.
     """
-    kept = [(tag, c) for tag, c in counts.items() if c >= min_occurrences]
+    kept = [(tag, c) for tag, c in counts.items() if c >= VOCAB_MIN_OCCURRENCES]
     kept.sort(key=lambda item: (-item[1], item[0]))
-    return TagVocab(tags=tuple(tag for tag, _ in kept[:max_size]))
+    return TagVocab(tags=tuple(tag for tag, _ in kept[:VOCAB_MAX_SIZE]))
 
 
 # ------------------------------------------------------------- embeddings
@@ -125,14 +122,10 @@ class EmbedDiagnostics:
     entities_without_vectors: int = 0
 
 
-def entity_embed_mean(
-    entity: Entity, table: EmbeddingTable, diagnostics: EmbedDiagnostics | None = None
-) -> np.ndarray:
+def entity_embed_mean(entity: Entity, table: EmbeddingTable) -> np.ndarray:
     """Unweighted mean of the entity's in-table tag vectors; zeros if none hit."""
     hits = [table.vectors[t] for t in (tag_key(k, v) for k, v in entity.tags) if t in table.vectors]
     if not hits:
-        if diagnostics is not None:
-            diagnostics.entities_without_vectors += 1
         return np.zeros(table.dim, dtype=np.float64)
     return np.mean(hits, axis=0)
 
@@ -148,15 +141,10 @@ def posenc_input(box: MinBox) -> np.ndarray:
     return np.array([c for corner in ordered for c in corner], dtype=np.float64)
 
 
-def image_patch_boxes(grid: int = PATCH_GRID, include_class: bool = False) -> list[MinBox]:
-    """Row-major grid of axis-aligned patch squares covering the unit tile.
-
-    With include_class a full-tile box is prepended, mirroring a ViT
-    class-token slot; its positional box is a stand-in, not a patch.
-    """
+def image_patch_boxes() -> list[MinBox]:
+    """Row-major PATCH_GRID × PATCH_GRID axis-aligned patch squares covering the unit tile."""
     boxes = []
-    if include_class:
-        boxes.append(MinBox(corners=((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))))
+    grid = PATCH_GRID
     for row in range(grid):
         y0, y1 = row / grid, (row + 1) / grid
         for col in range(grid):
@@ -217,14 +205,13 @@ def assemble_token_batch(
     tiles: Sequence[Tile],
     table: EmbeddingTable,
     include_image: bool,
-    grid: int = PATCH_GRID,
-    include_class: bool = False,
     diagnostics: EmbedDiagnostics | None = None,
 ) -> TokenBatch:
     """One ENTITY token per entity, then the image-patch IMG tokens.
 
     IMG payloads stay zero; the slot exists so externally computed image
-    features can be spliced in.  Every entity must carry a min-box, which the
+    features can be spliced in.  Entities without an in-table tag are
+    counted in diagnostics.  Every entity must carry a min-box, which the
     processing stage guarantees.
     """
     if not tiles:
@@ -232,7 +219,7 @@ def assemble_token_batch(
     for t in tiles:
         if not t.entities:
             raise ValueError(f"tile {t.id.key} has no entities; filter upstream")
-    patch_boxes = image_patch_boxes(grid, include_class) if include_image else []
+    patch_boxes = image_patch_boxes() if include_image else []
     patch_rows = np.array([posenc_input(pb) for pb in patch_boxes], dtype=np.float32).reshape(-1, 8)
     lens = [len(t.entities) + len(patch_rows) for t in tiles]
     n, max_len, d = len(tiles), max(lens), table.dim
@@ -309,7 +296,8 @@ def load_token_batch(path: str) -> TokenBatch:
     if bad_len.any():
         i = int(np.argmax(bad_len))
         raise ValueError(f"{path}: sample {i}: valid_len {valid_len[i]} is not an integer in [0, {max_len}]")
-    bad_code = ~np.isin(modality, (MODALITY_PAD, MODALITY_ENTITY, MODALITY_IMG))
+    # Compared code by code: np.isin warned "invalid value encountered in cast" on a corrupted dump.
+    bad_code = (modality != MODALITY_PAD) & (modality != MODALITY_ENTITY) & (modality != MODALITY_IMG)
     if bad_code.any():
         i, j = np.argwhere(bad_code)[0]
         raise ValueError(

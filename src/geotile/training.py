@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -18,12 +18,18 @@ from .seeds import rng_for
 
 log = logging.getLogger(__name__)
 
+HUBER_BETA = 2.0
+# VICReg variance target and the epsilon under its square root.
+VICREG_GAMMA = 1.0
+VICREG_EPS = 1e-4
+VICREG_BETA = 0.05  # weight of the variance and covariance terms in the total
+
 
 def huber_masked(
     pred: np.ndarray,
     target: np.ndarray,
     valid: np.ndarray,
-    beta: float = 2.0,
+    beta: float = HUBER_BETA,
     per_token: bool = False,
 ) -> float:
     """Smooth-L1 over valid tokens only.
@@ -47,12 +53,7 @@ def huber_masked(
     return float(loss.sum() / denom)
 
 
-def vicreg_var_cov(
-    tokens: np.ndarray,
-    valid: np.ndarray,
-    gamma: float = 1.0,
-    eps: float = 1e-4,
-) -> tuple[float, float]:
+def vicreg_var_cov(tokens: np.ndarray, valid: np.ndarray) -> tuple[float, float]:
     """Variance hinge and squared off-diagonal covariance over valid tokens.
 
     All valid tokens across the batch form one N×d matrix; both statistics
@@ -63,8 +64,8 @@ def vicreg_var_cov(
     if n < 2:
         raise ValueError(f"need at least 2 valid tokens, got {n}")
     d = z.shape[1]
-    std = np.sqrt(z.var(axis=0, ddof=1) + eps)
-    var_loss = float(np.maximum(0.0, gamma - std).mean())
+    std = np.sqrt(z.var(axis=0, ddof=1) + VICREG_EPS)
+    var_loss = float(np.maximum(0.0, VICREG_GAMMA - std).mean())
     centered = z - z.mean(axis=0)
     cov = (centered.T @ centered) / (n - 1)
     cov_sq = cov * cov
@@ -72,7 +73,7 @@ def vicreg_var_cov(
     return var_loss, cov_loss
 
 
-def total_loss(huber: float, var: float, cov: float, vicreg_beta: float = 0.05) -> float:
+def total_loss(huber: float, var: float, cov: float, vicreg_beta: float = VICREG_BETA) -> float:
     return huber + vicreg_beta * (var + cov)
 
 
@@ -88,25 +89,22 @@ def ema_update(target: np.ndarray, online: np.ndarray, momentum: float) -> np.nd
 
 @dataclass(frozen=True)
 class ScheduleConfig:
+    """Linear-warmup cosine learning rate, cosine weight decay, linear EMA momentum."""
+
+    lr_warmup_frac: ClassVar[float] = 0.1
     total_steps: int
-    lr_warmup_frac: float = 0.1
     lr_base: float = 1e-3
     lr_end: float = 1e-6
     weight_decay_init: float = 0.04
     weight_decay_end: float = 0.4
     momentum_init: float = 0.997
     momentum_end: float = 1.0
-    weight_decay_shape: str = "cosine"  # or "linear"
 
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError("total_steps must be positive")
-        if not 0.0 < self.lr_warmup_frac < 1.0:
-            raise ValueError("lr_warmup_frac must lie in (0, 1)")
         if self.lr_end > self.lr_base:
             raise ValueError("lr_end must not exceed lr_base")
-        if self.weight_decay_shape not in ("cosine", "linear"):
-            raise ValueError("weight_decay_shape must be cosine or linear")
 
 
 def momentum_at(step: int, cfg: ScheduleConfig) -> float:
@@ -125,8 +123,6 @@ def lr_at(step: int, cfg: ScheduleConfig) -> float:
 
 def wd_at(step: int, cfg: ScheduleConfig) -> float:
     t = min(max(step, 0), cfg.total_steps) / cfg.total_steps
-    if cfg.weight_decay_shape == "linear":
-        return cfg.weight_decay_init + (cfg.weight_decay_end - cfg.weight_decay_init) * t
     lo, hi = cfg.weight_decay_init, cfg.weight_decay_end
     return hi + 0.5 * (lo - hi) * (1.0 + math.cos(math.pi * t))
 

@@ -10,7 +10,7 @@ import pytest
 
 import geotile
 from conftest import write_grid_pbf
-from geotile import evaluation, process, tasks, tef, tokens
+from geotile import evaluation, geo, process, tasks, tef, tokens, training
 from geotile.cli import build_parser, main
 from geotile.tokens import EmbeddingTable
 
@@ -217,6 +217,32 @@ def test_encode_and_mask_plan(pipeline, capsys):
         assert f"strategy {name}:" in stats
 
 
+def test_ids_sidecar_must_match_its_batch(pipeline, capsys):
+    tmp_path, store, proc = pipeline
+    table = tmp_path / "vectors.txt"
+    _write_table(table, 6, ["building=yes", "highway=residential"])
+    dump = str(tmp_path / "batch.gjtb")
+    assert main(["encode", proc, "--embeddings", str(table), "--out", dump]) == 0
+    sidecar = dump + ".ids"
+    with open(sidecar, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    capsys.readouterr()
+
+    with open(sidecar, "wb") as fh:
+        fh.writelines(lines[:3])
+    assert main(["mask-plan", dump]) == 1
+    assert capsys.readouterr().err == f"geotile: {sidecar}: 3 ids for a batch of 4 samples\n"
+
+    with open(sidecar, "wb") as fh:
+        fh.writelines(lines[:2] + [b"16_\xff\n"] + lines[3:])
+    assert main(["mask-plan", dump, "--stats"]) == 1
+    assert capsys.readouterr().err == f"geotile: {sidecar}:3: invalid UTF-8 at byte 3\n"
+
+    os.remove(sidecar)
+    assert main(["mask-plan", dump]) == 0
+    assert [json.loads(line)["tile"] for line in capsys.readouterr().out.splitlines()] == ["0", "1", "2", "3"]
+
+
 # mask-plan --stats on the fixture's dumps: per strategy, the mean context
 # fraction, the fallbacks and the ten histogram counts.
 MASK_PLAN_STATS = {
@@ -370,6 +396,39 @@ def test_schedule_command(tmp_path, capsys):
     lines = dump.read_text().splitlines()
     assert lines[0] == "step,lr,wd,momentum"
     assert len(lines) == 12
+
+
+def test_flag_defaults_are_the_library_defaults(pipeline, capsys):
+    tmp_path, store, proc = pipeline
+    explicit = str(tmp_path / "explicit")
+    extract = str(tmp_path / "grid.pbf")
+    assert main(["ingest", extract, explicit, "--zoom", str(geo.DEFAULT_ZOOM)]) == 0
+    assert _store_bytes(store) == _store_bytes(explicit)
+
+    pred, target = str(tmp_path / "pred.gjtb"), str(tmp_path / "target.gjtb")
+    for path, tags in ((pred, ["building=yes"]), (target, ["building=yes", "highway=residential"])):
+        _write_table(tmp_path / "vectors.txt", 4, tags)
+        assert main(["encode", proc, "--embeddings", str(tmp_path / "vectors.txt"), "--out", path]) == 0
+    capsys.readouterr()
+    assert main(["loss-check", pred, target]) == 0
+    default = capsys.readouterr().out
+    beta, vicreg_beta = repr(training.HUBER_BETA), repr(training.VICREG_BETA)
+    assert main(["loss-check", pred, target, "--beta", beta, "--vicreg-beta", vicreg_beta]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["loss-check", pred, target, "--beta", "0.5", "--vicreg-beta", "1"]) == 0
+    assert capsys.readouterr().out != default
+
+    cfg = training.ScheduleConfig(total_steps=7)
+    assert main(["schedule", "--total-steps", "7", "--dump", str(tmp_path / "default.csv")]) == 0
+    default = capsys.readouterr().out
+    flags = ["--lr-base", repr(cfg.lr_base), "--lr-end", repr(cfg.lr_end),
+             "--wd-init", repr(cfg.weight_decay_init), "--wd-end", repr(cfg.weight_decay_end),
+             "--momentum-init", repr(cfg.momentum_init), "--momentum-end", repr(cfg.momentum_end)]
+    assert main(["schedule", "--total-steps", "7", "--dump", str(tmp_path / "explicit.csv"), *flags]) == 0
+    assert capsys.readouterr().out == default
+    assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
+    assert main(["schedule", "--total-steps", "7", "--wd-end", "0.1"]) == 0
+    assert capsys.readouterr().out.splitlines()[2].endswith("-> 0.1")
 
 
 def test_empty_extract_is_fine(tmp_path, capsys):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from geotile.masking import (
+    RANDOM_NUM_TARGETS,
+    RANDOM_RATIO,
     STRATEGIES,
     MaskConfig,
     MaskPlan,
@@ -250,15 +252,6 @@ def test_select_strategy_frequencies():
     assert select_strategy(cfg, 17) == select_strategy(cfg, 17)
 
 
-def test_mask_config_validation():
-    with pytest.raises(ValueError, match="sum"):
-        MaskConfig(strategy_weights=(0.5, 0.2, 0.2))
-    with pytest.raises(ValueError, match="ratio"):
-        MaskConfig(random_ratio=1.0)
-    with pytest.raises(ValueError, match="target"):
-        MaskConfig(area_num_targets=0)
-
-
 def test_plan_masks_applies_floor():
     batch = _uniform_batch(4, 60, seed=3)
     cfg = MaskConfig(seed=9)
@@ -288,12 +281,13 @@ def test_build_plan_runs_each_strategy_and_rejects_others():
 
 def test_unimodal_fallback_reads_the_config_random_settings():
     batch = _uniform_batch(3, 60, seed=3)
-    cfg = MaskConfig(seed=9, random_ratio=0.3, random_num_targets=2)
-    plan = build_plan(batch, cfg, "modality")
+    assert build_plan(batch, MaskConfig(seed=9), "modality").fallbacks == 3
+    lens = [60] * 3
+    plan = modality_mask(batch.modality, lens, 9, batch.ids)
     assert plan.fallbacks == 3
-    assert plan.samples == build_plan(batch, cfg, "random").samples
+    assert plan.samples == random_mask(lens, RANDOM_RATIO, RANDOM_NUM_TARGETS, 9, batch.ids).samples
     for s in plan.samples:
-        assert [len(t) for t in s.targets] == [18, 18]
+        assert [len(t) for t in s.targets] == [27] * 4  # round(0.45 * 60) tokens each
 
 
 def test_plan_masks_mixed_modality_floor():
@@ -387,7 +381,7 @@ def test_context_fraction_histogram_buckets():
         SampleMask(key="a", valid_len=10, context=tuple(range(2)), targets=()),
         SampleMask(key="b", valid_len=10, context=tuple(range(9)), targets=()),
     ])
-    rows = context_fraction_histogram(plan, bins=10)
+    rows = context_fraction_histogram(plan)
     assert len(rows) == 10
     assert sum(count for _, _, count in rows) == 2
     assert rows[2][2] == 1 and rows[9][2] == 1

@@ -371,6 +371,39 @@ def test_truncated_file_reports_byte_offset(tmp_path):
     assert "byte" in str(err.value)
 
 
+def test_pbf_error_names_the_file(tmp_path):
+    header, data = _header_blob(), _golden_data_blob()
+    path = tmp_path / "cut.osm.pbf"
+    path.write_bytes((header + data)[:-7])
+    (header_len,) = struct.unpack(">I", data[:4])
+    with pytest.raises(PbfError) as err:
+        read_pbf(str(path))
+    assert err.value.offset == len(header) + 4 + header_len  # the data blob
+    assert str(err.value) == f"{path}: truncated blob (at byte {err.value.offset})"
+
+
+_NODE_ID, _NODE_LAT, _NODE_LON = _uv(1 << 3) + _sv(5), _uv(8 << 3) + _sv(100), _uv(9 << 3) + _sv(200)
+
+
+@pytest.mark.parametrize("group,message", [
+    (_ld(1, _ld(1, b"\x0a") + _NODE_LAT + _NODE_LON), "node missing id or coordinates"),
+    (_ld(1, _NODE_ID + _ld(8, b"\x01") + _NODE_LON), "node missing id or coordinates"),
+    (_ld(1, _NODE_ID + _NODE_LAT + _ld(9, b"\x01")), "node missing id or coordinates"),
+    (_ld(3, _ld(1, b"\x07")), "way missing id"),
+    (_ld(4, _ld(1, b"\x07")), "relation missing id"),
+], ids=["node-id", "node-lat", "node-lon", "way-id", "relation-id"])
+def test_ids_and_coordinates_are_read_only_as_varints(tmp_path, group, message):
+    # A length-delimited id or coordinate is not the field: the element lacks it.
+    header, data = _header_blob(), _blob("OSMData", _ld(1, _ld(1, b"")) + _ld(2, group))
+    path = tmp_path / "wire.osm.pbf"
+    path.write_bytes(header + data)
+    (header_len,) = struct.unpack(">I", data[:4])
+    with pytest.raises(PbfError, match=message) as err:
+        read_pbf(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+    assert err.value.offset == len(header) + 4 + header_len
+
+
 def test_garbage_header_length_fails_fast(tmp_path):
     path = tmp_path / "bad.osm.pbf"
     path.write_bytes(struct.pack(">I", 10_000_000) + b"\x00" * 16)

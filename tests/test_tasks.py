@@ -121,6 +121,39 @@ def test_load_task_rejects_a_json_list(tmp_path):
         load_task(str(path))
 
 
+_CAMS = '"name": "cams", "counted": ["highway=speed_camera"], "label": "count"'
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{' + _CAMS + ', "clamp": [0, 50]', "Expecting ',' delimiter"),
+    (b'{"name": "caf\xe9", "counted": ["a=*"], "label": "count", "clamp": [0, 5]}', "can't decode byte 0xe9"),
+    ('{' + _CAMS + ', "clamp": 5}', "'clamp' must be a list"),
+    ('{' + _CAMS + ', "clamp": [0, "50"]}', "'clamp' must be a number"),
+    ('{' + _CAMS + ', "clamp": [0, true]}', "'clamp' must be a number"),
+    ('{' + _CAMS + ', "clamp": [0]}', "'clamp' must hold two numbers"),
+    ('{' + _CAMS + ', "clamp": [0, 1' + "0" * 400 + ']}', "int too large"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "mask": []}', "'mask' must be a JSON object"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "mask": {"rules": [{"action": "remove_tag"}]}}', "needs 'action' and 'pattern'"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "mask": {"counted": 1}}', "'counted' must be true or false"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {}}', "'rebalance' needs 'zero_keep'"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "sentinel": {"when_no_match": ["a=*"]}}', "'when_no_match' must be a string"),
+    ('{"name": "cams", "counted": "ab", "label": "count", "clamp": [0, 50]}', "'counted' must be a list"),
+    ('{"name": 3, "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "'name' must be a string"),
+    ('{"name": "../escaped", "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "plain file name part"),
+    ('{"name": "..", "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "plain file name part"),
+    ('{"name": "cams", "counted": ["a=*"], "label": "median", "clamp": [0, 50]}', "unknown label kind"),
+    ('{"name": "cams", "counted": ["a=*"], "label": "count", "clamp": [50, 0]}', "lo < hi"),
+], ids=["json", "utf8", "clamp-kind", "clamp-string", "clamp-bool", "clamp-length", "clamp-overflow",
+        "mask-kind", "mask-rule-keys", "mask-counted-kind", "rebalance-keys", "sentinel-kind",
+        "counted-string", "name-kind", "name-path", "name-dots", "label-value", "clamp-order"])
+def test_load_task_errors_name_the_file(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        load_task(str(path))
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="label kind"):
         TaskSpec("x", (TagPattern("a", "*"),), "mean", (0, 1))

@@ -7,7 +7,7 @@ import pytest
 
 from geotile.geo import TileId, tile_extent_m, tile_origin
 from geotile.geometry import box_area
-from geotile.model import Entity, Geometry, MinBox, Tile
+from geotile.model import Entity, Geometry, MinBox, Tile, tag_key
 from geotile.tokens import (
     MODALITY_ENTITY,
     MODALITY_IMG,
@@ -58,8 +58,15 @@ def test_prune_vocab_order_and_floor():
     assert vocab.tags == ("b=1", "a=1", "c=1")
     assert vocab.index["a=1"] == 1
     assert "d=1" not in vocab
-    assert prune_vocab(counts, max_size=2).tags == ("b=1", "a=1")
     assert VOCAB_MIN_OCCURRENCES == 10 and VOCAB_MAX_SIZE == 12500
+
+
+def test_prune_vocab_truncates_at_max_size():
+    counts = {f"t={i:05d}": VOCAB_MIN_OCCURRENCES for i in range(VOCAB_MAX_SIZE + 1)}
+    vocab = prune_vocab(counts)
+    assert len(vocab) == VOCAB_MAX_SIZE
+    assert vocab.tags[0] == "t=00000"
+    assert f"t={VOCAB_MAX_SIZE:05d}" not in vocab
 
 
 # ------------------------------------------------------------- embeddings
@@ -72,9 +79,11 @@ def test_embed_mean_frozen():
 
 
 def test_embed_mean_miss_is_zero_and_diagnosed():
+    bench = _entity(1, [("amenity", "bench")])
+    assert entity_embed_mean(bench, _table()).tolist() == [0.0, 0.0, 0.0, 0.0]
     diag = EmbedDiagnostics()
-    out = entity_embed_mean(_entity(1, [("amenity", "bench")]), _table(), diag)
-    assert out.tolist() == [0.0, 0.0, 0.0, 0.0]
+    batch = assemble_token_batch([_tile([bench])], _table(), include_image=False, diagnostics=diag)
+    assert batch.payload[0, 0].tolist() == [0.0, 0.0, 0.0, 0.0]
     assert diag.entities_without_vectors == 1
 
 
@@ -144,13 +153,6 @@ def test_patch_boxes_partition_unit_square():
     assert boxes[14].corners[0] == (0.0, 1.0 / 14.0)
 
 
-def test_patch_boxes_class_slot_prepended():
-    boxes = image_patch_boxes(include_class=True)
-    assert len(boxes) == 197
-    assert boxes[0].corners == ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
-    assert boxes[1:] == image_patch_boxes()
-
-
 # ----------------------------------------------------------- token batches
 
 
@@ -199,10 +201,13 @@ def test_assemble_rejects_bad_input():
         assemble_token_batch([_tile([boxless])], _table(), include_image=False)
 
 
-def _assemble_per_token(tiles, table, include_image, grid=PATCH_GRID, include_class=False,
-                        diagnostics=None):
-    """Reference: one posenc_input and one embedding mean per token, row by row."""
-    patch_boxes = image_patch_boxes(grid, include_class) if include_image else []
+def _assemble_per_token(tiles, table, include_image):
+    """Reference: one posenc_input and one embedding mean per token, row by row.
+
+    Returns the batch and the number of entities without an in-table tag.
+    """
+    patch_boxes = image_patch_boxes() if include_image else []
+    misses = 0
     lens = [len(t.entities) + len(patch_boxes) for t in tiles]
     n, max_len, d = len(tiles), max(lens), table.dim
     modality = np.zeros((n, max_len), dtype=np.int32)
@@ -212,13 +217,15 @@ def _assemble_per_token(tiles, table, include_image, grid=PATCH_GRID, include_cl
         for j, e in enumerate(t.entities):
             modality[i, j] = MODALITY_ENTITY
             boxes[i, j] = posenc_input(e.minbox)
-            payload[i, j] = entity_embed_mean(e, table, diagnostics)
+            payload[i, j] = entity_embed_mean(e, table)
+            misses += not any(tag_key(k, v) in table.vectors for k, v in e.tags)
         base = len(t.entities)
         for j, pb in enumerate(patch_boxes):
             modality[i, base + j] = MODALITY_IMG
             boxes[i, base + j] = posenc_input(pb)
-    return TokenBatch(modality=modality, boxes=boxes, payload=payload,
-                      valid_len=np.array(lens, dtype=np.int32))
+    batch = TokenBatch(modality=modality, boxes=boxes, payload=payload,
+                       valid_len=np.array(lens, dtype=np.int32))
+    return batch, misses
 
 
 def _oracle_tiles():
@@ -247,24 +254,16 @@ def _oracle_tiles():
     return tiles, table
 
 
-@pytest.mark.parametrize("include_image,grid,include_class", [
-    (False, PATCH_GRID, False),
-    (True, PATCH_GRID, False),
-    (True, PATCH_GRID, True),
-    (True, 3, False),
-    (True, 3, True),
-])
-def test_assemble_matches_per_token_reference(tmp_path, include_image, grid, include_class):
+@pytest.mark.parametrize("include_image", [False, True])
+def test_assemble_matches_per_token_reference(tmp_path, include_image):
     tiles, table = _oracle_tiles()
-    got_diag, want_diag = EmbedDiagnostics(), EmbedDiagnostics()
-    got = assemble_token_batch(tiles, table, include_image, grid=grid, include_class=include_class,
-                               diagnostics=got_diag)
-    want = _assemble_per_token(tiles, table, include_image, grid=grid, include_class=include_class,
-                               diagnostics=want_diag)
+    diag = EmbedDiagnostics()
+    got = assemble_token_batch(tiles, table, include_image, diagnostics=diag)
+    want, misses = _assemble_per_token(tiles, table, include_image)
     dump_token_batch(got, str(tmp_path / "got.gjtb"))
     dump_token_batch(want, str(tmp_path / "want.gjtb"))
     assert (tmp_path / "got.gjtb").read_bytes() == (tmp_path / "want.gjtb").read_bytes()
-    assert got_diag.entities_without_vectors == want_diag.entities_without_vectors >= 4
+    assert diag.entities_without_vectors == misses >= 4
     # The reference's means depend on tag order, and np.mean of a lone -0.0
     # row is +0.0, so returning a single hit's vector as is would show too.
     last = want.payload[-1].view(np.uint32)
