@@ -8,6 +8,7 @@ different batches never changes an individual tile's plan.
 
 from __future__ import annotations
 
+import bisect
 import json
 import logging
 import math
@@ -202,6 +203,9 @@ def enforce_min_context(plan: MaskPlan, min_ctx: float, seed: int) -> MaskPlan:
         rng = rng_for(seed, "minctx", sample.key)
         context = set(sample.context)
         targets = [list(t) for t in sample.targets]
+        # Every strategy makes sorted targets, and a sorted target drops a
+        # moved token by bisection; only a hand-built unsorted one is scanned.
+        ordered = [t == sorted(t) for t in targets]
         while len(context) < need:
             # The donor pool is the concatenation of eligible targets; it is
             # never materialized, the drawn index is walked instead.
@@ -217,8 +221,12 @@ def enforce_min_context(plan: MaskPlan, min_ctx: float, seed: int) -> MaskPlan:
                     break
                 k -= len(targets[ti])
             context.add(token)
-            for t in targets:
-                if token in t:
+            for t, is_sorted in zip(targets, ordered):
+                if is_sorted:
+                    i = bisect.bisect_left(t, token)
+                    if i < len(t) and t[i] == token:
+                        del t[i]  # the first occurrence, as list.remove takes
+                elif token in t:
                     t.remove(token)
         out.samples.append(
             SampleMask(

@@ -293,22 +293,38 @@ def write_group(tiles: list[Tile], root: str) -> dict[str, str]:
     return {t.id.key: name for t in members}
 
 
-def write_index(index: dict[str, str], root: str) -> None:
-    """Write the store's index.json; keys are sorted, so its bytes do not depend on the dict's order."""
+def indexed_files(root: str) -> set[str]:
+    """The group files that the index of a store under root names; none when root has no index."""
+    try:
+        return set(read_store_index(root).values())
+    except FileNotFoundError:
+        return set()
+
+
+def write_index(index: dict[str, str], root: str, earlier: Iterable[str] = ()) -> None:
+    """Delete the files of an earlier store (``earlier``) that index does not
+    name, then write the store's index.json.  Keys are sorted, so its bytes do
+    not depend on the dict's order."""
+    for name in set(earlier).difference(index.values()):
+        try:
+            os.remove(os.path.join(root, name))
+        except FileNotFoundError:
+            pass
     payload = json.dumps({"tiles": index}, indent=1, sort_keys=True)
     atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
 
 
 def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
-    """Write tiles into group files under root; returns the tile -> file index."""
+    """Write tiles into group files under root, replacing any store there; returns the tile -> file index."""
     os.makedirs(root, exist_ok=True)
+    earlier = indexed_files(root)
     groups: dict[tuple[int, int, int], list[Tile]] = defaultdict(list)
     for tile in tiles:
         groups[tile_group(tile.id)].append(tile)
     index: dict[str, str] = {}
     for group in sorted(groups):
         index.update(write_group(groups[group], root))
-    write_index(index, root)
+    write_index(index, root, earlier)
     return index
 
 

@@ -41,14 +41,21 @@ def huber_masked(
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    z_pred = pred[valid]
-    z_target = target[valid]
-    n_tokens = z_pred.shape[0]
+    # Two full-size float64 buffers, each step in the order of the textbook
+    # np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta), so every value
+    # is bit-identical to it.  The linear branch (d >= beta, or NaN) is a
+    # sliver of the elements, so it is written back at its flat indices.
+    d = np.subtract(pred[valid], target[valid], dtype=np.float64)
+    n_tokens = d.shape[0]
     if n_tokens == 0:
         log.warning("huber_masked called with zero valid tokens")
         return 0.0
-    d = np.abs(z_pred.astype(np.float64) - z_target.astype(np.float64))
-    loss = np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
+    np.abs(d, out=d)
+    linear = np.flatnonzero(~(d < beta))
+    loss = 0.5 * d
+    loss *= d
+    loss /= beta
+    np.put(loss, linear, np.take(d, linear) - 0.5 * beta)
     denom = n_tokens if per_token else n_tokens * pred.shape[-1]
     return float(loss.sum() / denom)
 
@@ -64,10 +71,13 @@ def vicreg_var_cov(tokens: np.ndarray, valid: np.ndarray) -> tuple[float, float]
     if n < 2:
         raise ValueError(f"need at least 2 valid tokens, got {n}")
     d = z.shape[1]
-    std = np.sqrt(z.var(axis=0, ddof=1) + VICREG_EPS)
+    # Centred in place, once: z - z.mean(axis=0) is the array z.var(ddof=1)
+    # squares and sums, so the variance below is bit-equal to it.
+    z -= z.mean(axis=0)
+    cov = (z.T @ z) / (n - 1)
+    z *= z
+    std = np.sqrt(z.sum(axis=0) / (n - 1) + VICREG_EPS)
     var_loss = float(np.maximum(0.0, VICREG_GAMMA - std).mean())
-    centered = z - z.mean(axis=0)
-    cov = (centered.T @ centered) / (n - 1)
     cov_sq = cov * cov
     cov_loss = float((cov_sq.sum() - np.trace(cov_sq)) / d)
     return var_loss, cov_loss

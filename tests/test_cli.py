@@ -89,6 +89,26 @@ def test_group_whose_tiles_are_all_dropped_gets_no_file(wide, capsys):
     }
 
 
+def test_process_into_an_earlier_store_keeps_only_indexed_files(wide):
+    # Two different inputs into one --out: the 4x1 row (groups 4512 and 4513),
+    # then a 2x2 block (group 4513 only); then the row again, in place.
+    tmp_path, row = wide
+    write_grid_pbf(tmp_path / "block.pbf", 18052, 25956, 2, 2)
+    block = str(tmp_path / "block")
+    assert main(["ingest", str(tmp_path / "block.pbf"), block]) == 0
+    out = str(tmp_path / "shared")
+    for store in (row, block):
+        assert main(["process", store, out]) == 0
+        names = set(tef.read_store_index(out).values())
+        assert sorted(os.listdir(out)) == sorted(names | {tef.INDEX_NAME})
+    assert names == {"16_4513_6489.tefgz"}
+    assert main(["process", block, str(tmp_path / "fresh")]) == 0
+    assert _store_bytes(out) == _store_bytes(str(tmp_path / "fresh"))
+    assert main(["process", row, row]) == 0
+    assert sorted(os.listdir(row)) == ["16_4512_6489.tefgz", "16_4513_6489.tefgz", tef.INDEX_NAME]
+    assert len(tef.read_store(row)) == 4
+
+
 def test_truncated_group_file_fails_the_process_pool_naming_it(wide, capsys):
     tmp_path, store = wide
     path = os.path.join(store, "16_4513_6489.tefgz")

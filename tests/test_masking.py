@@ -239,6 +239,63 @@ def test_enforce_min_context_noop_when_satisfied():
     assert out.samples[0] == sample
 
 
+def reference_min_context(plan, min_ctx, seed):
+    """enforce_min_context as a scan over every target for each moved token."""
+    out = MaskPlan(strategy=plan.strategy, fallbacks=plan.fallbacks)
+    for sample in plan.samples:
+        need = math.ceil(min_ctx * sample.valid_len)
+        if len(sample.context) >= need:
+            out.samples.append(sample)
+            continue
+        rng = rng_for(seed, "minctx", sample.key)
+        context = set(sample.context)
+        targets = [list(t) for t in sample.targets]
+        while len(context) < need:
+            eligible = [ti for ti, t in enumerate(targets) if len(t) >= 2]
+            if not eligible:
+                eligible = [ti for ti, t in enumerate(targets) if t]
+                if len(eligible) <= 1:
+                    break
+            pool = [token for ti in eligible for token in targets[ti]]
+            token = pool[int(rng.integers(len(pool)))]
+            context.add(token)
+            for t in targets:
+                if token in t:
+                    t.remove(token)
+        out.samples.append(SampleMask(key=sample.key, valid_len=sample.valid_len, context=tuple(sorted(context)),
+                                      targets=tuple(tuple(sorted(t)) for t in targets)))
+    return out
+
+
+def test_enforce_min_context_equals_reference_on_hand_built_plans():
+    # Unsorted, overlapping and repeating targets, and context that overlaps them.
+    rng = np.random.default_rng(14)
+    samples = []
+    for i in range(600):
+        n = int(rng.integers(1, 50))
+        targets = []
+        for _ in range(int(rng.integers(0, 6))):
+            t = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=bool(rng.uniform() < 0.2)).tolist()
+            targets.append(tuple(sorted(t) if rng.uniform() < 0.5 else t))
+        context = tuple(sorted(set(rng.choice(n, size=int(rng.integers(0, n // 3 + 1))).tolist())))
+        samples.append(SampleMask(key=str(i), valid_len=n, context=context, targets=tuple(targets)))
+    for min_ctx in (0.1, 0.5, 0.9):
+        plan = MaskPlan(strategy="random", samples=samples)
+        want = plan_to_json_lines(reference_min_context(plan, min_ctx, seed=3))
+        assert plan_to_json_lines(enforce_min_context(plan, min_ctx, seed=3)) == want
+
+
+def test_enforce_min_context_equals_reference_on_strategy_plans():
+    batch = _uniform_batch(24, 90, seed=5)
+    batch.modality[:, ::3] = 2
+    for name in STRATEGIES:
+        cfg = MaskConfig(seed=8)
+        plan = build_plan(batch, cfg, name)  # already past the floor; raise it
+        for min_ctx in (0.5, 0.8):
+            want = plan_to_json_lines(reference_min_context(plan, min_ctx, seed=8))
+            assert plan_to_json_lines(enforce_min_context(plan, min_ctx, seed=8)) == want
+
+
 # ---------------------------------------------------------------- strategy
 
 

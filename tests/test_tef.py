@@ -209,6 +209,15 @@ def test_store_rewrite_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_store_written_over_another_keeps_only_its_own_files(tmp_path):
+    root = tmp_path / "store"
+    write_store([_tile_at(18052, 25957), _tile_at(18056, 25957)], str(root))
+    (root / "notes.txt").write_text("not the store's")
+    write_store([_tile_at(18053, 25957)], str(root))
+    assert sorted(os.listdir(root)) == ["16_4513_6489.tefgz", "index.json", "notes.txt"]
+    assert [t.id.key for t in read_store(str(root))] == ["16_18053_25957"]
+
+
 def test_group_members_sorted_by_grid_position(tmp_path):
     tiles = [_tile_at(18055, 25957), _tile_at(18052, 25957), _tile_at(18052, 25958)]
     root = tmp_path / "store"

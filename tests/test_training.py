@@ -89,6 +89,120 @@ def test_huber_shape_mismatch():
         huber_masked(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)), np.ones((1, 2), dtype=bool))
 
 
+# ------------------------------------------- kernels against textbook forms
+# huber_masked and vicreg_var_cov work in place to spare full-size temporaries;
+# these are the plain expressions they replaced, and the kernels must equal
+# them bit for bit.
+
+
+def reference_huber(pred, target, valid, beta=2.0, per_token=False):
+    z_pred = pred[valid]
+    z_target = target[valid]
+    n_tokens = z_pred.shape[0]
+    if n_tokens == 0:
+        return 0.0
+    d = np.abs(z_pred.astype(np.float64) - z_target.astype(np.float64))
+    loss = np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
+    denom = n_tokens if per_token else n_tokens * pred.shape[-1]
+    return float(loss.sum() / denom)
+
+
+def reference_vicreg(tokens, valid):
+    z = tokens[valid].astype(np.float64)
+    n, d = z.shape
+    std = np.sqrt(z.var(axis=0, ddof=1) + 1e-4)
+    var_loss = float(np.maximum(0.0, 1.0 - std).mean())
+    centered = z - z.mean(axis=0)
+    cov = (centered.T @ centered) / (n - 1)
+    cov_sq = cov * cov
+    return var_loss, float((cov_sq.sum() - np.trace(cov_sq)) / d)
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _random_case(rng, dtype):
+    n, t, d = int(rng.integers(1, 9)), int(rng.integers(1, 60)), int(rng.integers(1, 70))
+    scale = 10.0 ** rng.uniform(-3, 2)
+    pred = (rng.normal(size=(n, t, d)) * scale).astype(dtype)
+    target = (rng.normal(size=(n, t, d)) * scale).astype(dtype)
+    valid = rng.uniform(size=(n, t)) < rng.uniform(0.2, 1.0)
+    return pred, target, valid, scale
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_equal_reference_on_seeded_shapes(dtype):
+    rng = np.random.default_rng(11)
+    for _ in range(150):
+        pred, target, valid, scale = _random_case(rng, dtype)
+        for beta in (2.0, 0.5, scale, 1e-12):
+            for per_token in (False, True):
+                assert huber_masked(pred, target, valid, beta, per_token) == reference_huber(
+                    pred, target, valid, beta, per_token)
+        if valid.sum() >= 2:
+            assert vicreg_var_cov(pred, valid) == reference_vicreg(pred, valid)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_token", [False, True])
+def test_huber_equals_reference_at_and_around_beta(dtype, per_token):
+    beta = 2.0
+    below = np.nextafter(dtype(beta), dtype(0))
+    above = np.nextafter(dtype(beta), dtype(4))
+    diffs = np.array([0.0, 1e-3, 1.0, below, beta, above, 3.0, 1e3], dtype=dtype)
+    pred = np.stack([diffs, -diffs])[..., None].repeat(3, axis=-1)
+    target = np.zeros_like(pred)
+    valid = np.ones(pred.shape[:2], dtype=bool)
+    got = huber_masked(pred, target, valid, beta, per_token)
+    assert got == reference_huber(pred, target, valid, beta, per_token)
+    # all-linear: every |d| but the zeros is at or above a tiny beta
+    assert huber_masked(pred, target, valid, 1e-12, per_token) == reference_huber(
+        pred, target, valid, 1e-12, per_token)
+
+
+@pytest.mark.parametrize("per_token", [False, True])
+def test_huber_equals_reference_at_float64_extremes(per_token):
+    # 0.5 * d * d / beta rounds differently from d * d * 0.5 only where a
+    # product leaves the normal range: d * d subnormal, or past the largest
+    # double while still under a huge beta.
+    rng = np.random.default_rng(13)
+    tiny = rng.uniform(1e-162, 1e-154, size=(3, 7, 5))
+    huge = rng.uniform(1e153, 1.8e154, size=(3, 7, 5))
+    valid = np.ones((3, 7), dtype=bool)
+    for diffs, beta in ((tiny, 2.0), (huge, 1e300)):
+        zeros = np.zeros_like(diffs)
+        assert huber_masked(diffs, zeros, valid, beta, per_token) == reference_huber(
+            diffs, zeros, valid, beta, per_token)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("per_token", [False, True])
+def test_huber_equals_reference_on_inf_and_nan(dtype, per_token):
+    rng = np.random.default_rng(12)
+    valid = np.ones((2, 5), dtype=bool)
+    valid[1, 3:] = False
+    for special in (np.inf, -np.inf, np.nan):
+        for where in ((0, 1, 2), (1, 4, 0)):  # a valid cell, and a padding cell
+            pred = rng.normal(size=(2, 5, 4)).astype(dtype)
+            target = rng.normal(size=(2, 5, 4)).astype(dtype)
+            pred[where] = special
+            got = huber_masked(pred, target, valid, per_token=per_token)
+            assert _same(got, reference_huber(pred, target, valid, per_token=per_token))
+    pred[0, 0, 0], target[0, 0, 0] = np.inf, np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        assert math.isnan(huber_masked(pred, target, valid, per_token=per_token))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_equal_reference_with_zero_valid_tokens(dtype):
+    pred = np.ones((2, 3, 4), dtype=dtype)
+    valid = np.zeros((2, 3), dtype=bool)
+    for per_token in (False, True):
+        assert huber_masked(pred, pred * 2, valid, per_token=per_token) == reference_huber(
+            pred, pred * 2, valid, per_token=per_token) == 0.0
+
+
 # ----------------------------------------------------------------- vicreg
 
 
