@@ -4,8 +4,8 @@ Every command is deterministic given its flags: one global --seed feeds
 per-stage derived seeds, and all diagnostics go to stderr.  Each output file
 is written to a temp file, then renamed, so an interrupted run leaves no
 partial files.  process writes its store's index.json last, after every
-group file, so a failed run leaves no index; the group files an earlier
-index named and the new one does not are deleted just before it.
+group file, so a failed run leaves no index; every group file in --out that
+the new index does not name is deleted just before it.
 Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
 command logs its name, exit code and wall time.
 
@@ -80,10 +80,9 @@ def cmd_process(args) -> int:
     eps_m = process.DEFAULT_EPS_M if args.eps_m is None else args.eps_m
     names = sorted(set(tef.read_store_index(args.store).values()))
     # No index until every group is written, so a failed run leaves no store
-    # that mixes an earlier run's group files with this one's.  The earlier
-    # index is read first: write_index deletes the files the new one drops.
+    # that mixes an earlier run's group files with this one's; write_index
+    # then deletes every group file the new index does not name.
     os.makedirs(args.out, exist_ok=True)
-    earlier = tef.indexed_files(args.out)
     with contextlib.suppress(FileNotFoundError):
         os.remove(os.path.join(args.out, tef.INDEX_NAME))
     job = functools.partial(_process_group, args.store, args.out, eps_m, seed, args.min_entities, args.max_entities)
@@ -95,7 +94,7 @@ def cmd_process(args) -> int:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(job, names))
     index = {key: name for entries, _ in results for key, name in entries.items()}
-    tef.write_index(index, args.out, earlier)
+    tef.write_index(index, args.out)
     _print(f"processed tiles  {len(index)}")
     _print(f"outliers dropped {sum(dropped for _, dropped in results)}")
     return 0

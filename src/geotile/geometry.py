@@ -15,6 +15,9 @@ from .model import Coord, Geometry, MinBox
 # 1.5 m at the nominal 300 m tile extent.
 MIN_BOX_SIDE: float = 0.005
 BOX_SCAN_STEP_DEG: float = 10.0
+# The finest rotation step min_area_box accepts: 1800 rotations, the dense
+# sweep the oracles use.  A finer step would allocate a row per rotation.
+MIN_BOX_SCAN_STEP_DEG: float = 0.1
 
 
 def point_segment_distance(p: Sequence[float], a: Sequence[float], b: Sequence[float]) -> float:
@@ -167,7 +170,11 @@ def min_area_box(
     zero-argument factory, called only in that case, so callers need not
     derive a generator that other hulls never use.  Collinear inputs produce
     a rectangle aligned with their principal segment.
+
+    Raises ValueError unless step_deg lies in [MIN_BOX_SCAN_STEP_DEG, 180].
     """
+    if not MIN_BOX_SCAN_STEP_DEG <= step_deg <= 180.0:
+        raise ValueError(f"step_deg must lie in [{MIN_BOX_SCAN_STEP_DEG}, 180] degrees, got {step_deg!r}")
     hull = convex_hull(points)
     if len(hull) == 1:
         if callable(rng):
@@ -182,21 +189,18 @@ def min_area_box(
 
     hx = np.array([p[0] for p in hull])
     hy = np.array([p[1] for p in hull])
-    best: tuple[float, float, float, float, float, float] | None = None
-    steps = int(round(180.0 / step_deg))
-    for k in range(steps):
-        phi = math.radians(k * step_deg)
-        c, s = math.cos(-phi), math.sin(-phi)
-        rx = c * hx - s * hy
-        ry = s * hx + c * hy
-        x0, x1 = float(rx.min()), float(rx.max())
-        y0, y1 = float(ry.min()), float(ry.max())
-        area = (x1 - x0) * (y1 - y0)
-        if best is None or area < best[0]:
-            best = (area, x0, y0, x1, y1, phi)
-    assert best is not None
-    _, x0, y0, x1, y1, phi = best
-    return _rect_to_box(x0, y0, x1, y1, phi)
+    # One row per rotation.  The tables come from math.cos/math.sin because
+    # np.cos need not equal libm bit for bit, and argmin keeps the first
+    # smallest area, so every box equals the one a per-rotation loop finds.
+    phis = [math.radians(k * step_deg) for k in range(int(round(180.0 / step_deg)))]
+    c = np.array([math.cos(-phi) for phi in phis])[:, None]
+    s = np.array([math.sin(-phi) for phi in phis])[:, None]
+    rx = c * hx - s * hy
+    ry = s * hx + c * hy
+    x0, x1 = rx.min(axis=1), rx.max(axis=1)
+    y0, y1 = ry.min(axis=1), ry.max(axis=1)
+    k = int(np.argmin((x1 - x0) * (y1 - y0)))
+    return _rect_to_box(float(x0[k]), float(y0[k]), float(x1[k]), float(y1[k]), phis[k])
 
 
 def geometry_min_box(

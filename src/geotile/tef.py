@@ -7,15 +7,22 @@ the first violation.
 
 A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
 gzipped TEF lines of one 4x4 block of the tile grid (at most 16 tiles), plus
-an ``index.json`` mapping tile ids to file names.  Gzip members are written
+an ``index.json`` mapping tile ids to file names.  Writing an index deletes
+the group files beside it that it does not name.  Gzip members are written
 with a zeroed mtime so identical content produces identical bytes.
+
+Numbers must be finite: NaN, Infinity and literals that overflow a float are
+rejected like any other schema violation.
 """
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
+import math
 import os
+import re
 import zlib
 from collections import defaultdict
 from typing import Iterable, Iterator
@@ -38,6 +45,19 @@ INDEX_NAME = "index.json"
 
 class TefError(ValueError):
     pass
+
+
+class _NonFinite(ValueError):
+    pass
+
+
+def _reject_constant(name: str):
+    raise _NonFinite(name)
+
+
+# Python's json reads NaN, Infinity and -Infinity, which JSON does not allow;
+# parse_constant sees only those tokens, so valid lines never call it.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
 def tile_group(tid: TileId) -> tuple[int, int, int]:
@@ -89,20 +109,24 @@ def _number(value, path: str, lineno) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected number, got {type(value).__name__}", lineno)
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise _fail(path, "number out of float range", lineno) from None
+    if not math.isfinite(number):  # a literal such as 1e999 reads as inf
+        raise _fail(path, "number out of float range", lineno)
+    return number
 
 
 def _pair(value) -> tuple[float, float] | None:
-    """(x, y) for an [x, y] of two floats, else None; builds no error path.
+    """(x, y) for an [x, y] of two finite floats, else None; builds no error path.
 
     The writer emits every coordinate as a float, so only hand-written ints
-    and bad input take _coord's path-naming route.
+    and bad input take _coord's path-naming route.  x - x is 0.0 for a
+    finite x and nan for inf, so one comparison checks both.
     """
     if type(value) is list and len(value) == 2:
         x, y = value
-        if type(x) is float and type(y) is float:
+        if type(x) is float and type(y) is float and x - x == y - y:
             return (x, y)
     return None
 
@@ -203,7 +227,7 @@ def _entity(obj, path: str, lineno) -> Entity:
         if not isinstance(mb, list) or len(mb) != 8:
             raise _fail(path + ".minbox", "expected 8 numbers", lineno)
         v = [
-            x if type(x) is float else _number(x, f"{path}.minbox[{i}]", lineno)
+            x if type(x) is float and x - x == 0.0 else _number(x, f"{path}.minbox[{i}]", lineno)
             for i, x in enumerate(mb)
         ]
         minbox = MinBox(((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7])))
@@ -217,9 +241,11 @@ def _entity(obj, path: str, lineno) -> Entity:
 
 def tile_from_json(line: str, lineno: int | None = None) -> Tile:
     try:
-        obj = json.loads(line)
+        obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise _fail("tile", f"invalid JSON: {exc.msg}", lineno) from None
+    except _NonFinite as exc:
+        raise _fail("tile", f"non-finite number {exc}", lineno) from None
     if not isinstance(obj, dict):
         raise _fail("tile", "expected object", lineno)
     if not isinstance(obj.get("id"), str):
@@ -293,23 +319,24 @@ def write_group(tiles: list[Tile], root: str) -> dict[str, str]:
     return {t.id.key: name for t in members}
 
 
-def indexed_files(root: str) -> set[str]:
-    """The group files that the index of a store under root names; none when root has no index."""
-    try:
-        return set(read_store_index(root).values())
-    except FileNotFoundError:
-        return set()
+# The names group_file_name writes.
+_GROUP_FILE = re.compile(r"\d+_\d+_\d+\.tefgz")
 
 
-def write_index(index: dict[str, str], root: str, earlier: Iterable[str] = ()) -> None:
-    """Delete the files of an earlier store (``earlier``) that index does not
-    name, then write the store's index.json.  Keys are sorted, so its bytes do
-    not depend on the dict's order."""
-    for name in set(earlier).difference(index.values()):
-        try:
-            os.remove(os.path.join(root, name))
-        except FileNotFoundError:
-            pass
+def write_index(index: dict[str, str], root: str) -> None:
+    """Delete every group file under root that index does not name, then
+    write the store's index.json.  Keys are sorted, so its bytes do not
+    depend on the dict's order.
+
+    Group files are found by name, not through an earlier index, so those of
+    a store whose rewrite failed before its index was written go too.  Files
+    with other names stay."""
+    keep = set(index.values())
+    with os.scandir(root) as entries:
+        stale = [e.path for e in entries if _GROUP_FILE.fullmatch(e.name) and e.name not in keep and e.is_file()]
+    for path in stale:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     payload = json.dumps({"tiles": index}, indent=1, sort_keys=True)
     atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
 
@@ -317,14 +344,13 @@ def write_index(index: dict[str, str], root: str, earlier: Iterable[str] = ()) -
 def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
     """Write tiles into group files under root, replacing any store there; returns the tile -> file index."""
     os.makedirs(root, exist_ok=True)
-    earlier = indexed_files(root)
     groups: dict[tuple[int, int, int], list[Tile]] = defaultdict(list)
     for tile in tiles:
         groups[tile_group(tile.id)].append(tile)
     index: dict[str, str] = {}
     for group in sorted(groups):
         index.update(write_group(groups[group], root))
-    write_index(index, root, earlier)
+    write_index(index, root)
     return index
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -107,6 +108,28 @@ def test_process_into_an_earlier_store_keeps_only_indexed_files(wide):
     assert main(["process", row, row]) == 0
     assert sorted(os.listdir(row)) == ["16_4512_6489.tefgz", "16_4513_6489.tefgz", tef.INDEX_NAME]
     assert len(tef.read_store(row)) == 4
+
+
+def test_failed_process_strands_no_group_file_of_the_store_before_it(wide):
+    # The 4x1 row into out, then a copy of the 2x2 block with a truncated
+    # group file (exit 1, and no index left), then the block itself: only the
+    # block's files may remain, though no index names the row's files.
+    tmp_path, row = wide
+    write_grid_pbf(tmp_path / "block.pbf", 18052, 25956, 2, 2)
+    block = str(tmp_path / "block")
+    assert main(["ingest", str(tmp_path / "block.pbf"), block]) == 0
+    broken = str(tmp_path / "broken")
+    shutil.copytree(block, broken)
+    path = os.path.join(broken, "16_4513_6489.tefgz")
+    os.truncate(path, os.path.getsize(path) // 2)
+    out = str(tmp_path / "out")
+    assert main(["process", row, out]) == 0
+    assert main(["process", broken, out]) == 1
+    assert not os.path.exists(os.path.join(out, tef.INDEX_NAME))
+    assert main(["process", block, out]) == 0
+    assert sorted(os.listdir(out)) == ["16_4513_6489.tefgz", tef.INDEX_NAME]
+    assert main(["process", block, str(tmp_path / "fresh")]) == 0
+    assert _store_bytes(out) == _store_bytes(str(tmp_path / "fresh"))
 
 
 def test_truncated_group_file_fails_the_process_pool_naming_it(wide, capsys):

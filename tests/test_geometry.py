@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from geotile.geometry import (
+    MIN_BOX_SCAN_STEP_DEG,
     MIN_BOX_SIDE,
+    _rect_to_box,
     box_area,
     box_sides,
     convex_hull,
@@ -86,6 +88,36 @@ def _box_scan_dense(points, step_deg=0.1):
         area = (xs.max() - xs.min()) * (ys.max() - ys.min())
         best = min(best, area)
     return best
+
+
+def reference_min_area_box(points, step_deg=10.0):
+    """min_area_box's scan as a loop over rotations, for hulls of 3+ points.
+
+    The library scans every rotation in one broadcast; this is the scalar
+    form it must equal bit for bit.
+    """
+    hull = convex_hull(points)
+    assert len(hull) >= 3
+    hx = np.array([p[0] for p in hull])
+    hy = np.array([p[1] for p in hull])
+    best = None
+    for k in range(int(round(180.0 / step_deg))):
+        phi = math.radians(k * step_deg)
+        c, s = math.cos(-phi), math.sin(-phi)
+        rx = c * hx - s * hy
+        ry = s * hx + c * hy
+        x0, x1 = float(rx.min()), float(rx.max())
+        y0, y1 = float(ry.min()), float(ry.max())
+        area = (x1 - x0) * (y1 - y0)
+        if best is None or area < best[0]:
+            best = (area, x0, y0, x1, y1, phi)
+    _, x0, y0, x1, y1, phi = best
+    return _rect_to_box(x0, y0, x1, y1, phi)
+
+
+def _bits(box):
+    """Corner values as hex strings, so -0.0 and 0.0 differ."""
+    return tuple(float(v).hex() for v in box.flat())
 
 
 # ------------------------------------------------------- point to segment
@@ -219,6 +251,65 @@ def test_scan_result_bounded_by_dense_sweep():
         scale = max(exact, MIN_BOX_SIDE**2)
         assert approx >= exact - 1e-12
         assert approx <= 1.2 * scale + 1e-12
+
+
+def _regular_polygon(n, radius=1.0, turn=0.0):
+    return [
+        (radius * math.cos(turn + 2 * math.pi * i / n), radius * math.sin(turn + 2 * math.pi * i / n))
+        for i in range(n)
+    ]
+
+
+def test_broadcast_scan_equals_the_rotation_loop_on_seeded_hulls():
+    rng = np.random.default_rng(51)
+    for step_deg, cases in ((10.0, 300), (7.0, 100), (MIN_BOX_SCAN_STEP_DEG, 20)):
+        for _ in range(cases):
+            n = int(rng.integers(3, 61))
+            pts = [(float(x), float(y)) for x, y in rng.uniform(0.0, 1.0, size=(n, 2))]
+            if len(convex_hull(pts)) < 3:
+                continue
+            want = reference_min_area_box(pts, step_deg)
+            assert _bits(min_area_box(pts, step_deg=step_deg)) == _bits(want), (step_deg, pts)
+
+
+def test_broadcast_scan_keeps_the_first_of_tied_rotations():
+    # Symmetric shapes give equal areas at several rotations; the loop keeps
+    # the first, and so must the broadcast.
+    shapes = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
+    shapes += [[(float(x), float(y)) for x in range(4) for y in range(4)]]
+    shapes += [_regular_polygon(n) for n in range(3, 13)]
+    shapes += [_regular_polygon(n, 0.2, math.radians(45)) for n in (4, 8)]
+    for pts in shapes:
+        for step_deg in (10.0, 5.0, MIN_BOX_SCAN_STEP_DEG):
+            want = reference_min_area_box(pts, step_deg)
+            assert _bits(min_area_box(pts, step_deg=step_deg)) == _bits(want), (step_deg, pts)
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1e3, 1e12])
+def test_broadcast_scan_equals_the_rotation_loop_at_every_scale(scale):
+    rng = np.random.default_rng(52)
+    for _ in range(50):
+        n = int(rng.integers(3, 20))
+        pts = [(float(x), float(y)) for x, y in scale * rng.uniform(-1.0, 1.0, size=(n, 2))]
+        for step_deg in (10.0, 3.0):
+            want = reference_min_area_box(pts, step_deg)
+            assert _bits(min_area_box(pts, step_deg=step_deg)) == _bits(want)
+
+
+@pytest.mark.parametrize(
+    "step_deg", [0.0, -10.0, 180.5, 400.0, math.inf, -math.inf, math.nan, 1e-300, 0.5 * MIN_BOX_SCAN_STEP_DEG]
+)
+def test_step_outside_its_range_is_rejected(step_deg):
+    # A tiny step would ask for ~1e302 rotations: it is only ever rejected here.
+    for pts in ([(0.5, 0.5)], [(0.1, 0.1), (0.4, 0.2)], [(0.1, 0.1), (0.4, 0.2), (0.3, 0.6)]):
+        with pytest.raises(ValueError, match=rf"step_deg .* got {step_deg!r}"):
+            min_area_box(pts, step_deg=step_deg)
+
+
+def test_step_range_ends_are_accepted():
+    pts = [(0.1, 0.1), (0.4, 0.2), (0.3, 0.6)]
+    for step_deg in (MIN_BOX_SCAN_STEP_DEG, 180.0):
+        assert _bits(min_area_box(pts, step_deg=step_deg)) == _bits(reference_min_area_box(pts, step_deg))
 
 
 def test_every_side_respects_minimum():

@@ -137,6 +137,18 @@ _MULTI = (
      "tile.entities[0].geometry.coords[1][0][2][1]: number out of float range (line 3)"),
     ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,1,0,1' + "0" * 400 + "]",
      "tile.entities[0].minbox[7]: number out of float range (line 3)"),
+    ("[0.5,0.0],[0.5,0.5]", "[0.5,0.0],[0.5,1e999]",
+     "tile.entities[0].geometry.coords[1][0][2][1]: number out of float range (line 3)"),
+    ("[0.5,0.0],[0.5,0.5]", "[0.5,0.0],[-1e999,0.5]",
+     "tile.entities[0].geometry.coords[1][0][2][0]: number out of float range (line 3)"),
+    ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,1e999,0,1]',
+     "tile.entities[0].minbox[5]: number out of float range (line 3)"),
+    ('"extent_m":100.0', '"extent_m":1e999', "tile.extent_m: number out of float range (line 3)"),
+    ('"origin":[0.0,0.0]', '"origin":[0.0,-1e999]', "tile.origin[1]: number out of float range (line 3)"),
+    ("[0.5,0.0],[0.5,0.5]", "[0.5,0.0],[0.5,NaN]", "tile: non-finite number NaN (line 3)"),
+    ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,1,Infinity,1]', "tile: non-finite number Infinity (line 3)"),
+    ('"extent_m":100.0', '"extent_m":-Infinity', "tile: non-finite number -Infinity (line 3)"),
+    ('"tags":[]', '"tags":[],"note":NaN', "tile: non-finite number NaN (line 3)"),
     ('[1,2,"bnd"]', '[1,9,"bnd"]', "tile.entities[0].visgraph.edges[1]: vertex index out of range (line 3)"),
     ('[1,2,"bnd"]', '[1,2.0,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
 ])
@@ -285,6 +297,22 @@ def test_group_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
         read_group_file(str(path))
     at = text.index(b"\xff")
     assert str(err.value) == f"{path}: tile: invalid UTF-8 at byte {at} (line 1)"
+
+
+def test_non_finite_number_in_group_file_names_the_file_and_line(tmp_path):
+    path = _group_file(tmp_path)
+    text = gzip.decompress(path.read_bytes())
+    head, point, tail = text.rpartition(b'"coords":[0.5,0.5]')
+    assert head.count(b"\n") == 1
+    for token, message in (
+        (b"NaN", "non-finite number NaN"),
+        (b"-Infinity", "non-finite number -Infinity"),
+        (b"1e999", "number out of float range"),
+    ):
+        path.write_bytes(gzip.compress(head + b'"coords":[0.5,' + token + b"]" + tail))
+        with pytest.raises(TefError) as err:
+            read_group_file(str(path))
+        assert str(err.value).startswith(f"{path}: tile") and str(err.value).endswith(f"{message} (line 2)")
 
 
 def test_tile_of_another_group_names_the_file(tmp_path):
