@@ -47,12 +47,8 @@ class TefError(ValueError):
     pass
 
 
-class _NonFinite(ValueError):
-    pass
-
-
 def _reject_constant(name: str):
-    raise _NonFinite(name)
+    raise TefError(f"non-finite number {name}")
 
 
 # Python's json reads NaN, Infinity and -Infinity, which JSON does not allow;
@@ -244,8 +240,8 @@ def tile_from_json(line: str, lineno: int | None = None) -> Tile:
         obj = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise _fail("tile", f"invalid JSON: {exc.msg}", lineno) from None
-    except _NonFinite as exc:
-        raise _fail("tile", f"non-finite number {exc}", lineno) from None
+    except TefError as exc:
+        raise _fail("tile", str(exc), lineno) from None
     if not isinstance(obj, dict):
         raise _fail("tile", "expected object", lineno)
     if not isinstance(obj.get("id"), str):
