@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -89,15 +90,20 @@ class TaskSpec:
             raise ValueError(f"clamp range must satisfy lo < hi, got {self.clamp_range}")
         if not self.counted:
             raise ValueError("a task needs at least one counted pattern")
+        if self.rebalance_zero_keep is not None and not 0.0 <= self.rebalance_zero_keep <= 1.0:
+            raise ValueError(f"'zero_keep' must lie in [0, 1], got {self.rebalance_zero_keep}")
 
 
 _JSON_KINDS = {str: "a string", list: "a list", dict: "a JSON object", bool: "true or false", float: "a number"}
 
 
 def _expect(value, kind: type, what: str):
-    """value as the JSON kind asked for (float: any number, but not true/false); else ValueError."""
+    """value as the JSON kind asked for (float: any finite number, but not true/false); else ValueError."""
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, (int, float) if kind is float else kind):
         raise ValueError(f"{what} must be {_JSON_KINDS[kind]}")
+    # json.loads reads NaN, Infinity and 1e999 as floats; no task value means one.
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
     return float(value) if kind is float else value
 
 

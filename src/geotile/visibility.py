@@ -7,8 +7,8 @@ grazing a vertex does not block visibility.  Same-ring and cross-ring pairs
 both participate, and ring provenance is kept so either subset can be
 selected afterwards.
 
-``visibility_edges`` is a numpy kernel whose graph equals that of the scalar
-oracle ``visibility_edges_brute`` edge for edge.
+``visibility_edges`` is a numpy pair-list kernel whose graph equals that of
+the scalar oracle ``visibility_edges_brute`` edge for edge.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ from .model import EDGE_BOUNDARY, EDGE_VISIBLE, Geometry, VisibilityGraph
 
 Scene = tuple[list[tuple[float, float]], list[tuple[int, int]], list[tuple[int, int]]]
 
-# Pair-edge cells per block of the vectorised test: 64 Ki float64 cells are
-# 0.5 MB per temporary, so the working set stays in cache whatever the scene.
-BLOCK_ELEMENTS = 1 << 16
+# Cells per pair-mask row block and per full-pass block: 128 KB a temporary.
+BLOCK_ELEMENTS = 1 << 14
 
-# Edges on each side of a source vertex tested before all the others.  On
-# the landuse benchmark's wavy rings (seed 1), the 32 ring edges around a
-# vertex block 85% of the blocked pairs, which halves the kernel's time there.
-NEAR_EDGES = 16
+# Ring edges each pair meets first, as offsets along the ring from each end.
+# On the landuse benchmark's 497-vertex ring (seed 1), the edges at ring
+# distance 1 (+1, -2) block 74% of the blocked pairs, and those up to 8 98.4%.
+RING_OFFSETS = (1, -2, 2, -3, 3, -4, 4, -5, 5, -6, 6, -7, 7, -8, 8, -9)
+# Smaller scenes skip that pass, which costs them more than it saves.
+PREFILTER_MIN_VERTICES = 80
 
 
 def build_scene(geom: Geometry) -> Scene:
@@ -111,41 +112,40 @@ def visibility_edges_brute(geom: Geometry) -> VisibilityGraph:
 def visibility_edges(geom: Geometry) -> VisibilityGraph:
     """Vectorised visibility graph; identical output to the brute pass.
 
-    ``side[k, e]`` is ``proper_crossing``'s ``o3``/``o4`` for vertex k and
-    edge e.  Each source vertex i tests its candidates j > i in row blocks of
-    at most ``BLOCK_ELEMENTS`` cells, forming ``o1``/``o2`` with the same
-    float64 expressions in the same operand order, so every sign equals the
-    scalar test's, with no epsilon.  In larger scenes the edges of i's ring
-    nearest i go first, and only the pairs they leave unblocked meet the rest.
-    ``side`` and the adjacency mask grow as n², like the graph itself.
+    Pairs i < j come from row blocks of the upper-triangle mask; in larger
+    scenes each first meets the ring edges at ``RING_OFFSETS`` from i and j.
+    The rest meet every edge through one orientation row ``o`` per pair:
+    edge k runs from vertex k to b[k], so ``o1 = o[k]`` and ``o2 = o[b[k]]``.
+    Each test is ``proper_crossing``'s float64 expression, p the lower index.
     """
-    scene = build_scene(geom)
-    vertices, provenance, edges = scene
-    n, m = len(vertices), len(edges)
+    vertices, provenance, edges = scene = build_scene(geom)
+    n = len(vertices)
     x, y = np.asarray(vertices, dtype=np.float64).T
-    a, b = np.asarray(edges).T
-    ax, ay, bx, by = x[a], y[a], x[b], y[b]
-    side = (bx - ax) * (y[:, None] - ay) - (by - ay) * (x[:, None] - ax)
-    adjacent = np.zeros((n, n), dtype=bool)
-    adjacent[a, b] = adjacent[b, a] = True
-    # build_scene numbers ring edges by their first vertex (edge k runs from
-    # vertex k), so the edges nearest i on its ring are one slice.
-    ring = np.array([r for r, _ in provenance])
-    ring_lo, ring_hi = np.searchsorted(ring, ring), np.searchsorted(ring, ring, "right")
-    rows = max(1, BLOCK_ELEMENTS // m)
+    b = np.asarray(edges)[:, 1]
+    side = (x[b] - x) * (y[:, None] - y) - (y[b] - y) * (x[:, None] - x)
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1)
+    pairs[np.arange(n), b] = pairs[b, np.arange(n)] = False
+    ring, pos = np.array(provenance).T
+    near = np.arange(n) - pos + np.add.outer(RING_OFFSETS, pos) % np.bincount(ring)[ring]
+    rows = max(1, BLOCK_ELEMENTS // n)
     visible = []
-    for i in range(n - 1):
-        px, py = x[i], y[i]
-        dax, day, dbx, dby = ax - px, ay - py, bx - px, by - py
-        near = slice(max(ring_lo[i], i - NEAR_EDGES), min(ring_hi[i], i + NEAR_EDGES))
-        passes = (near, slice(None)) if m > 2 * NEAR_EDGES else (slice(None),)
-        candidates = i + 1 + np.flatnonzero(~adjacent[i, i + 1:])
-        for k in range(0, len(candidates), rows):
-            j = candidates[k:k + rows]
-            for cols in passes:
-                dqx, dqy = (x[j] - px)[:, None], (y[j] - py)[:, None]
-                o1 = dqx * day[cols] - dqy * dax[cols]
-                o2 = dqx * dby[cols] - dqy * dbx[cols]
-                j = j[~((o1 * o2 < 0.0) & (side[i, cols] * side[j, cols] < 0.0)).any(axis=1)]
-            visible.extend((i, q) for q in j.tolist())
+    for r in range(0, n, rows):
+        i, j = np.nonzero(pairs[r:r + rows])
+        i += r
+        for col in near if n >= PREFILTER_MIN_VERTICES else ():
+            for end in (0, 1):
+                e = col[(i, j)[end]]
+                px, py = x[i], y[i]
+                dqx, dqy = x[j] - px, y[j] - py
+                o1 = dqx * (y[e] - py) - dqy * (x[e] - px)
+                o2 = dqx * (y[b[e]] - py) - dqy * (x[b[e]] - px)
+                keep = ~((o1 * o2 < 0.0) & (side[i, e] * side[j, e] < 0.0))
+                i, j = i[keep], j[keep]
+        for c in range(0, len(i), rows):
+            p, q = i[c:c + rows], j[c:c + rows]
+            px, py = x[p][:, None], y[p][:, None]
+            dqx, dqy = x[q][:, None] - px, y[q][:, None] - py
+            o = dqx * (y - py) - dqy * (x - px)
+            keep = ~((o * o[:, b] < 0.0) & (side[p] * side[q] < 0.0)).any(axis=1)
+            visible.extend(zip(p[keep].tolist(), q[keep].tolist()))
     return _assemble(scene, visible)

@@ -143,9 +143,17 @@ _CAMS = '"name": "cams", "counted": ["highway=speed_camera"], "label": "count"'
     ('{"name": "..", "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "plain file name part"),
     ('{"name": "cams", "counted": ["a=*"], "label": "median", "clamp": [0, 50]}', "unknown label kind"),
     ('{"name": "cams", "counted": ["a=*"], "label": "count", "clamp": [50, 0]}', "lo < hi"),
+    ('{' + _CAMS + ', "clamp": [0, Infinity]}', "'clamp' must be finite, got inf"),
+    ('{' + _CAMS + ', "clamp": [-1e999, 0]}', "'clamp' must be finite, got -inf"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "sentinel": {"value": NaN}}', "'value' must be finite, got nan"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {"zero_keep": NaN}}', "'zero_keep' must be finite, got nan"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {"zero_keep": 7.5}}', "'zero_keep' must lie in [0, 1], got 7.5"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {"zero_keep": -0.1}}', "'zero_keep' must lie in [0, 1]"),
 ], ids=["json", "utf8", "clamp-kind", "clamp-string", "clamp-bool", "clamp-length", "clamp-overflow",
         "mask-kind", "mask-rule-keys", "mask-counted-kind", "rebalance-keys", "sentinel-kind",
-        "counted-string", "name-kind", "name-path", "name-dots", "label-value", "clamp-order"])
+        "counted-string", "name-kind", "name-path", "name-dots", "label-value", "clamp-order",
+        "clamp-infinity", "clamp-float-overflow", "sentinel-nan", "zero-keep-nan", "zero-keep-above-one",
+        "zero-keep-negative"])
 def test_load_task_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -161,6 +169,10 @@ def test_spec_validation():
         TaskSpec("x", (TagPattern("a", "*"),), "count", (1, 1))
     with pytest.raises(ValueError, match="counted"):
         TaskSpec("x", (), "count", (0, 1))
+    with pytest.raises(ValueError, match="zero_keep"):
+        TaskSpec("x", (TagPattern("a", "*"),), "count", (0, 1), rebalance_zero_keep=1.5)
+    for keep in (0.0, 1.0):
+        assert TaskSpec("x", (TagPattern("a", "*"),), "count", (0, 1), rebalance_zero_keep=keep).rebalance_zero_keep == keep
 
 
 # --------------------------------------------------------------- labelling

@@ -173,20 +173,52 @@ def _wavy_ring(n, cx, cy, radius, waves, reverse=False):
     return ring + [ring[0]]
 
 
-def test_row_blocks_and_near_edge_pass_equal_brute(monkeypatch):
-    # A wavy outer ring with two holes: more than 2 * NEAR_EDGES edges, so the
-    # near-edge pass runs, and a block size that splits every source vertex's
-    # candidates into several row blocks (one row each at the smallest).
-    outer = _wavy_ring(48, 0.5, 0.5, 0.35, 7)
-    holes = [_wavy_ring(6, 0.45, 0.5, 0.05, 2, reverse=True), _wavy_ring(5, 0.62, 0.55, 0.04, 3, reverse=True)]
-    geom = Geometry.multipolygon([[outer, *holes]])
+def _prefiltered_scene(scale=1.0):
+    """A wavy outer ring with holes of 3 to 7 vertices, shorter than the
+    ring-offset window, in a scene large enough for the ring-edge pass."""
+    holes = [
+        _wavy_ring(3, 0.42, 0.5, 0.05, 1, reverse=True),
+        _wavy_ring(4, 0.6, 0.42, 0.04, 2, reverse=True),
+        _wavy_ring(5, 0.62, 0.58, 0.04, 3, reverse=True),
+        _wavy_ring(7, 0.5, 0.68, 0.05, 2, reverse=True),
+    ]
+    rings = [_wavy_ring(76, 0.5, 0.5, 0.35, 7), *holes]
+    return Geometry.multipolygon([[[(px * scale, py * scale) for px, py in r] for r in rings]])
+
+
+def test_row_blocks_and_ring_offsets_equal_brute(monkeypatch):
+    # Block sizes of one row (and one full-pass pair), of a few rows that
+    # split each vertex's surviving pairs, and the default; ring-edge passes
+    # of no offset, one offset and the default offsets.
+    geom = _prefiltered_scene()
     expected = visibility_edges_brute(geom).edges
-    assert len(build_scene(geom)[2]) > 2 * visibility.NEAR_EDGES
-    for block in (1, 7 * 59, visibility.BLOCK_ELEMENTS):
+    n = len(build_scene(geom)[0])
+    assert n >= visibility.PREFILTER_MIN_VERTICES
+    for block in (1, 5 * n + 3, visibility.BLOCK_ELEMENTS):
         monkeypatch.setattr(visibility, "BLOCK_ELEMENTS", block)
-        for near in (1, 3, visibility.NEAR_EDGES):
-            monkeypatch.setattr(visibility, "NEAR_EDGES", near)
+        for offsets in ((), (-2,), visibility.RING_OFFSETS):
+            monkeypatch.setattr(visibility, "RING_OFFSETS", offsets)
             assert visibility_edges(geom).edges == expected
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150], ids=["unit", "products-underflow", "products-overflow"])
+def test_prefiltered_scene_equals_brute_and_oracle(scale):
+    # At 1e-160 the orientation products underflow to zero, so nothing blocks
+    # (a sign-bit test would still see crossings); at 1e150 they overflow to
+    # infinities whose signs must still decide.
+    geom = _prefiltered_scene(scale)
+    expected = _oracle_edges(geom)
+    assert visibility_edges_brute(geom).edges == expected
+    with np.errstate(over="ignore"):
+        assert visibility_edges(geom).edges == expected
+
+
+def _comb(teeth):
+    """A comb on a unit grid with a hole grazing its base: collinear base
+    vertices, collinear tooth tips, and enough vertices for the ring-edge pass."""
+    base = [(float(k), 0.0) for k in range(teeth + 1)]
+    top = [pt for k in map(float, range(teeth, 0, -1)) for pt in ((k, 3.0), (k, 4.0), (k - 0.5, 4.0), (k - 0.5, 3.0))]
+    return [base + top + [(0.0, 1.5), base[0]], [(5.5, 0.0), (6.5, 1.0), (4.5, 1.0), (5.5, 0.0)]]
 
 
 @pytest.mark.parametrize(
@@ -201,8 +233,9 @@ def test_row_blocks_and_near_edge_pass_equal_brute(monkeypatch):
         # Two rings sharing a coordinate: squares touching at one corner.
         [[[(0.0, 0.0), (0.5, 0.0), (0.5, 0.5), (0.0, 0.5), (0.0, 0.0)]],
          [[(0.5, 0.5), (1.0, 0.5), (1.0, 1.0), (0.5, 1.0), (0.5, 0.5)]]],
+        [_comb(20)],
     ],
-    ids=["collinear-ring", "hole-grazes-outer-edge", "rings-share-a-corner"],
+    ids=["collinear-ring", "hole-grazes-outer-edge", "rings-share-a-corner", "comb-with-grazing-hole"],
 )
 def test_degenerate_scenes_equal_brute(polygons):
     geom = Geometry.multipolygon(polygons)
