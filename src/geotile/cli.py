@@ -21,6 +21,7 @@ import contextlib
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -78,6 +79,8 @@ def cmd_process(args) -> int:
 
     seed = _stage_seed(args.seed, "process")
     eps_m = process.DEFAULT_EPS_M if args.eps_m is None else args.eps_m
+    if math.isnan(eps_m):
+        raise ValueError(f"--eps-m must be a number, got {eps_m}")
     names = sorted(set(tef.read_store_index(args.store).values()))
     # No index until every group is written, so a failed run leaves no store
     # that mixes an earlier run's group files with this one's; write_index
@@ -107,14 +110,14 @@ def cmd_synth_task(args) -> int:
     seed = _stage_seed(args.seed, "synth-task")
     tiles = tef.read_store(args.store)
     result = tasks.synthesize_task(tiles, spec, seed=seed)
+    groups = ingest.group_tiles([t.id for t in tiles if t.id.key in result.labels])
+    splits = ingest.split_groups(groups, args.split_ratios, seed)
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, f"{spec.name}_labels.csv")
     tasks.write_labels(result.labels, labels_path)
     masked = [tasks.apply_mask(t, spec) for t in tiles if t.id.key in result.labels]
     masked_root = os.path.join(args.out_dir, f"{spec.name}.masked")
     tef.write_store(masked, masked_root)
-    groups = ingest.group_tiles([t.id for t in tiles if t.id.key in result.labels])
-    splits = ingest.split_groups(groups, args.split_ratios, seed)
     splits_path = os.path.join(args.out_dir, f"{spec.name}_splits.json")
     payload = {
         name: sorted(tef.group_file_name(g).removesuffix(".tefgz") for g in members)

@@ -52,7 +52,7 @@ def douglas_peucker(points: Sequence[Coord], eps: float) -> tuple[Coord, ...]:
     pts = [(float(x), float(y)) for x, y in points]
     if len(pts) < 2:
         raise ValueError("polyline needs at least 2 points")
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be non-negative, got {eps}")
     arr = np.asarray(pts, dtype=float)
     keep = np.zeros(len(pts), dtype=bool)

@@ -323,14 +323,15 @@ def _point_in_ring(p: Coord, ring: Sequence[Coord]) -> bool:
 def _nest_rings(rings: list[tuple[Coord, ...]]) -> list[list[list[Coord]]]:
     """Group closed rings into polygons by containment parity."""
     opened = [list(r[:-1]) if r[0] == r[-1] else list(r) for r in rings]
-    order = sorted(range(len(opened)), key=lambda i: -abs(shoelace_area(opened[i])))
+    areas = [abs(shoelace_area(r)) for r in opened]
+    order = sorted(range(len(opened)), key=lambda i: -areas[i])
     containers: list[list[int]] = []
     for i in order:
         inside = [
             j
             for j in order
             if j != i
-            and abs(shoelace_area(opened[j])) > abs(shoelace_area(opened[i]))
+            and areas[j] > areas[i]
             and _point_in_ring(opened[i][0], opened[j])
         ]
         containers.append(inside)
@@ -351,7 +352,7 @@ def _nest_rings(rings: list[tuple[Coord, ...]]) -> list[list[list[Coord]]]:
                 ring = ring[::-1]
             parent = min(
                 (j for j in containers[pos] if j in outer_index),
-                key=lambda j: abs(shoelace_area(opened[j])),
+                key=lambda j: areas[j],
                 default=None,
             )
             if parent is None:
@@ -508,6 +509,9 @@ def split_groups(
     """
     if len(ratios) != len(SPLIT_NAMES):
         raise ValueError("one ratio per split name required")
+    for name, ratio in zip(SPLIT_NAMES, ratios):
+        if not 0.0 <= ratio <= 1.0:
+            raise ValueError(f"{name} ratio must lie in [0, 1], got {ratio}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
     keys = sorted(group_keys)

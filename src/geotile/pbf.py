@@ -2,12 +2,13 @@
 
 Implements the protobuf wire format directly for the handful of message
 types the OSM container uses (BlobHeader, Blob, HeaderBlock, PrimitiveBlock
-with dense nodes, ways and relations).  Reading is two-pass: raw elements
-first, then node coordinates are resolved into ways; elements with
-unresolvable references are dropped and counted.  Malformed input raises
-PbfError naming the file and the byte offset of the failure.  Header and
-blob sizes are held to the format's limits, and a compressed blob is
-inflated no further than its declared raw_size.
+with dense nodes, ways and relations).  The file is read one blob at a
+time, so memory holds one blob plus the decoded elements.  Reading is
+two-pass: raw elements first, then node coordinates are resolved into ways;
+elements with unresolvable references are dropped and counted.  Malformed
+input raises PbfError naming the file and the byte offset of the failure.
+Header and blob sizes are held to the format's limits, and a compressed
+blob is inflated no further than its declared raw_size.
 
 The writer exists so tests and demos can author small fixture files; it
 emits a single zlib-compressed primitive block per call.
@@ -135,7 +136,19 @@ def _fields(buf: bytes, base: int):
         yield fnum, wt, val
 
 
-def _packed_uvarints(buf: bytes, base: int) -> list[int]:
+def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes]:
+    """The last value of each (field number, wire type) in one message.
+
+    The last one wins, as protobuf prescribes for a field that is not
+    repeated.  A field read with the wrong wire type is a different key, so
+    a mistyped id or coordinate is simply absent.
+    """
+    return {(fnum, wt): val for fnum, wt, val in _fields(buf, base)}
+
+
+def _varints(m: dict, fnum: int, base: int) -> list[int]:
+    """A packed varint field; empty when the message lacks it."""
+    buf = m.get((fnum, 2), b"")
     out = []
     i = 0
     while i < len(buf):
@@ -144,15 +157,12 @@ def _packed_uvarints(buf: bytes, base: int) -> list[int]:
     return out
 
 
-def _packed_svarints(buf: bytes, base: int) -> list[int]:
-    return [_zigzag(v) for v in _packed_uvarints(buf, base)]
-
-
-def _delta_decode(values: list[int]) -> list[int]:
+def _delta_coded(m: dict, fnum: int, base: int) -> list[int]:
+    """A packed sint64 field of deltas (ids, coordinates, member refs), summed back to values."""
     out = []
     acc = 0
-    for v in values:
-        acc += v
+    for v in _varints(m, fnum, base):
+        acc += _zigzag(v)
         out.append(acc)
     return out
 
@@ -167,177 +177,102 @@ def _text(val: bytes, what: str, base: int) -> str:
         raise PbfError(f"{what} is not valid UTF-8", base) from None
 
 
-def _parse_string_table(buf: bytes, base: int) -> list[str]:
-    fields = _fields(buf, base)
-    return [_text(val, "string table entry", base) for fnum, wt, val in fields if fnum == 1 and wt == 2]
-
-
-def _tags_from_indices(keys, vals, table, base) -> tuple[tuple[str, str], ...]:
-    if len(keys) != len(vals):
-        raise PbfError("keys/vals length mismatch", base)
+def _string(table: list[str], i: int, base: int) -> str:
     try:
-        return tuple((table[k], table[v]) for k, v in zip(keys, vals))
+        return table[i]
     except IndexError:
         raise PbfError("string table index out of range", base) from None
 
 
-def _parse_dense(buf: bytes, base: int, table: list[str], coord, out: PbfData) -> None:
-    ids: list[int] = []
-    lats: list[int] = []
-    lons: list[int] = []
-    keys_vals: list[int] = []
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 2:
-            ids = _delta_decode(_packed_svarints(val, base))
-        elif fnum == 8 and wt == 2:
-            lats = _delta_decode(_packed_svarints(val, base))
-        elif fnum == 9 and wt == 2:
-            lons = _delta_decode(_packed_svarints(val, base))
-        elif fnum == 10 and wt == 2:
-            keys_vals = _packed_uvarints(val, base)
+def _tags(m: dict, table: list[str], base: int) -> tuple[tuple[str, str], ...]:
+    """An element's tags from its packed keys (field 2) and vals (field 3)."""
+    keys, vals = _varints(m, 2, base), _varints(m, 3, base)
+    if len(keys) != len(vals):
+        raise PbfError("keys/vals length mismatch", base)
+    return tuple((_string(table, k, base), _string(table, v, base)) for k, v in zip(keys, vals))
+
+
+def _dense(m: dict, table: list[str], coord, base: int) -> list[RawNode]:
+    ids, lats, lons = (_delta_coded(m, fnum, base) for fnum in (1, 8, 9))
+    keys_vals = _varints(m, 10, base)
     if not (len(ids) == len(lats) == len(lons)):
         raise PbfError("dense node arrays disagree on length", base)
+    # keys_vals runs key, val, key, val, ..., 0 for each node in turn; a
+    # block whose nodes are all untagged may leave it out.
     tags_per_node: list[tuple[tuple[str, str], ...]] = []
-    if keys_vals:
-        current: list[tuple[str, str]] = []
-        i = 0
-        while i < len(keys_vals):
-            k = keys_vals[i]
-            if k == 0:
-                tags_per_node.append(tuple(current))
-                current = []
-                i += 1
-            else:
-                if i + 1 >= len(keys_vals):
-                    raise PbfError("dangling key in dense keys_vals", base)
-                try:
-                    current.append((table[k], table[keys_vals[i + 1]]))
-                except IndexError:
-                    raise PbfError("string table index out of range", base) from None
-                i += 2
-        if current:
-            raise PbfError("dense keys_vals not terminated", base)
+    current: list[tuple[str, str]] = []
+    i = 0
+    while i < len(keys_vals):
+        if keys_vals[i] == 0:
+            tags_per_node.append(tuple(current))
+            current = []
+            i += 1
+        elif i + 1 >= len(keys_vals):
+            raise PbfError("dangling key in dense keys_vals", base)
+        else:
+            current.append((_string(table, keys_vals[i], base), _string(table, keys_vals[i + 1], base)))
+            i += 2
+    if current:
+        raise PbfError("dense keys_vals not terminated", base)
     if tags_per_node and len(tags_per_node) != len(ids):
         raise PbfError("dense keys_vals does not cover all nodes", base)
-    for idx, nid in enumerate(ids):
-        out.nodes.append(
-            RawNode(
-                id=nid,
-                lon=coord(lons[idx], "lon"),
-                lat=coord(lats[idx], "lat"),
-                tags=tags_per_node[idx] if tags_per_node else (),
-            )
-        )
+    return [
+        RawNode(nid, coord(lon, "lon"), coord(lat, "lat"), tags)
+        for nid, lon, lat, tags in zip(ids, lons, lats, tags_per_node or [()] * len(ids))
+    ]
 
 
-def _parse_node(buf: bytes, base: int, table: list[str], coord, out: PbfData) -> None:
-    nid = lat = lon = None
-    keys: list[int] = []
-    vals: list[int] = []
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 0:
-            nid = _zigzag(val)
-        elif fnum == 2 and wt == 2:
-            keys = _packed_uvarints(val, base)
-        elif fnum == 3 and wt == 2:
-            vals = _packed_uvarints(val, base)
-        elif fnum == 8 and wt == 0:
-            lat = _zigzag(val)
-        elif fnum == 9 and wt == 0:
-            lon = _zigzag(val)
-    if nid is None or lat is None or lon is None:
+def _node(m: dict, table: list[str], coord, base: int) -> RawNode:
+    if not {(1, 0), (8, 0), (9, 0)} <= m.keys():
         raise PbfError("node missing id or coordinates", base)
-    out.nodes.append(
-        RawNode(nid, coord(lon, "lon"), coord(lat, "lat"), _tags_from_indices(keys, vals, table, base))
-    )
+    lon, lat = coord(_zigzag(m[9, 0]), "lon"), coord(_zigzag(m[8, 0]), "lat")
+    return RawNode(_zigzag(m[1, 0]), lon, lat, _tags(m, table, base))
 
 
-def _parse_way(buf: bytes, base: int, table: list[str], out: PbfData) -> None:
-    wid = None
-    keys: list[int] = []
-    vals: list[int] = []
-    refs: list[int] = []
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 0:
-            wid = val
-        elif fnum == 2 and wt == 2:
-            keys = _packed_uvarints(val, base)
-        elif fnum == 3 and wt == 2:
-            vals = _packed_uvarints(val, base)
-        elif fnum == 8 and wt == 2:
-            refs = _delta_decode(_packed_svarints(val, base))
-    if wid is None:
+def _way(m: dict, table: list[str], base: int) -> RawWay:
+    if (1, 0) not in m:
         raise PbfError("way missing id", base)
-    out.ways.append(RawWay(wid, tuple(refs), _tags_from_indices(keys, vals, table, base)))
+    return RawWay(m[1, 0], tuple(_delta_coded(m, 8, base)), _tags(m, table, base))
 
 
-def _parse_relation(buf: bytes, base: int, table: list[str], out: PbfData) -> None:
-    rid = None
-    keys: list[int] = []
-    vals: list[int] = []
-    roles: list[int] = []
-    memids: list[int] = []
-    types: list[int] = []
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 0:
-            rid = val
-        elif fnum == 2 and wt == 2:
-            keys = _packed_uvarints(val, base)
-        elif fnum == 3 and wt == 2:
-            vals = _packed_uvarints(val, base)
-        elif fnum == 8 and wt == 2:
-            roles = _packed_uvarints(val, base)
-        elif fnum == 9 and wt == 2:
-            memids = _delta_decode(_packed_svarints(val, base))
-        elif fnum == 10 and wt == 2:
-            types = _packed_uvarints(val, base)
-    if rid is None:
+def _relation(m: dict, table: list[str], base: int) -> RawRelation:
+    if (1, 0) not in m:
         raise PbfError("relation missing id", base)
+    roles, memids, types = _varints(m, 8, base), _delta_coded(m, 9, base), _varints(m, 10, base)
     if not (len(roles) == len(memids) == len(types)):
         raise PbfError("relation member arrays disagree on length", base)
     members = []
-    for role_idx, ref, mtype in zip(roles, memids, types):
-        if mtype not in (0, 1, 2):
+    for role, ref, mtype in zip(roles, memids, types):
+        if mtype >= len(MEMBER_TYPES):
             raise PbfError(f"unknown member type {mtype}", base)
-        try:
-            members.append((MEMBER_TYPES[mtype], ref, table[role_idx]))
-        except IndexError:
-            raise PbfError("string table index out of range", base) from None
-    out.relations.append(RawRelation(rid, tuple(members), _tags_from_indices(keys, vals, table, base)))
+        members.append((MEMBER_TYPES[mtype], ref, _string(table, role, base)))
+    return RawRelation(m[1, 0], tuple(members), _tags(m, table, base))
 
 
 def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
-    table: list[str] = []
-    groups: list[bytes] = []
-    granularity = DEFAULT_GRANULARITY
-    lat_offset = 0
-    lon_offset = 0
-    for fnum, wt, val in _fields(buf, base):
-        if fnum == 1 and wt == 2:
-            table = _parse_string_table(val, base)
-        elif fnum == 2 and wt == 2:
-            groups.append(val)
-        elif fnum == 17 and wt == 0:
-            granularity = val
-        elif fnum == 19 and wt == 0:
-            lat_offset = _int64(val)
-        elif fnum == 20 and wt == 0:
-            lon_offset = _int64(val)
+    m = _message(buf, base)
+    entries = _fields(m.get((1, 2), b""), base)
+    table = [_text(val, "string table entry", base) for fnum, wt, val in entries if (fnum, wt) == (1, 2)]
+    granularity = m.get((17, 0), DEFAULT_GRANULARITY)
+    offsets = {"lat": _int64(m.get((19, 0), 0)), "lon": _int64(m.get((20, 0), 0))}
 
     def coord(raw: int, axis: str) -> float:
-        offset = lat_offset if axis == "lat" else lon_offset
-        return COORD_SCALE * (offset + granularity * raw)
+        return COORD_SCALE * (offsets[axis] + granularity * raw)
 
+    groups = [val for fnum, wt, val in _fields(buf, base) if (fnum, wt) == (2, 2)]
     for group in groups:
         for fnum, wt, val in _fields(group, base):
-            if fnum == 1 and wt == 2:
-                _parse_node(val, base, table, coord, out)
-            elif fnum == 2 and wt == 2:
-                _parse_dense(val, base, table, coord, out)
-            elif fnum == 3 and wt == 2:
-                _parse_way(val, base, table, out)
-            elif fnum == 4 and wt == 2:
-                _parse_relation(val, base, table, out)
+            if wt != 2 or fnum not in (1, 2, 3, 4):
+                continue
+            element = _message(val, base)
+            if fnum == 1:
+                out.nodes.append(_node(element, table, coord, base))
+            elif fnum == 2:
+                out.nodes.extend(_dense(element, table, coord, base))
+            elif fnum == 3:
+                out.ways.append(_way(element, table, base))
+            else:
+                out.relations.append(_relation(element, table, base))
 
 
 def _parse_header_block(buf: bytes, base: int) -> None:
@@ -367,6 +302,7 @@ def _inflate(data: bytes, raw_size: int | None, base: int) -> bytes:
 
 
 def _decode_blob(buf: bytes, base: int) -> bytes:
+    # raw and zlib_data are a oneof: whichever comes last wins.
     raw = compressed = raw_size = None
     for fnum, wt, val in _fields(buf, base):
         if fnum == 1 and wt == 2:
@@ -392,42 +328,38 @@ def read_pbf(path: str) -> PbfData:
     (dropped_members), and relations losing every member are dropped too.
     """
     out = PbfData()
-    with open(path, "rb") as fh:
-        data = fh.read()
     pos = 0
     saw_header = False
     try:
-        while pos < len(data):
-            if pos + 4 > len(data):
-                raise PbfError("truncated blob header length", pos)
-            (header_len,) = struct.unpack(">I", data[pos : pos + 4])
-            if header_len > MAX_BLOB_HEADER_SIZE:
-                raise PbfError(f"blob header of {header_len} bytes exceeds {MAX_BLOB_HEADER_SIZE}", pos)
-            header_start = pos + 4
-            if header_start + header_len > len(data):
-                raise PbfError("truncated blob header", pos)
-            blob_type = None
-            datasize = None
-            for fnum, wt, val in _fields(data[header_start : header_start + header_len], header_start):
-                if fnum == 1 and wt == 2:
-                    blob_type = _text(val, "blob type", header_start)
-                elif fnum == 3 and wt == 0:
-                    datasize = val
-            if blob_type is None or datasize is None:
-                raise PbfError("blob header missing type or datasize", pos)
-            if datasize > MAX_BLOB_SIZE:
-                raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
-            blob_start = header_start + header_len
-            if blob_start + datasize > len(data):
-                raise PbfError("truncated blob", blob_start)
-            block = _decode_blob(data[blob_start : blob_start + datasize], blob_start)
-            if blob_type == "OSMHeader":
-                _parse_header_block(block, blob_start)
-                saw_header = True
-            elif blob_type == "OSMData":
-                _parse_primitive_block(block, blob_start, out)
-            # Unknown blob types are skipped, as the format prescribes.
-            pos = blob_start + datasize
+        with open(path, "rb") as fh:
+            while length := fh.read(4):
+                if len(length) < 4:
+                    raise PbfError("truncated blob header length", pos)
+                (header_len,) = struct.unpack(">I", length)
+                if header_len > MAX_BLOB_HEADER_SIZE:
+                    raise PbfError(f"blob header of {header_len} bytes exceeds {MAX_BLOB_HEADER_SIZE}", pos)
+                header_start = pos + 4
+                header = fh.read(header_len)
+                if len(header) < header_len:
+                    raise PbfError("truncated blob header", pos)
+                m = _message(header, header_start)
+                if (1, 2) not in m or (3, 0) not in m:
+                    raise PbfError("blob header missing type or datasize", pos)
+                blob_type, datasize = _text(m[1, 2], "blob type", header_start), m[3, 0]
+                if datasize > MAX_BLOB_SIZE:
+                    raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
+                blob_start = header_start + header_len
+                blob = fh.read(datasize)
+                if len(blob) < datasize:
+                    raise PbfError("truncated blob", blob_start)
+                block = _decode_blob(blob, blob_start)
+                if blob_type == "OSMHeader":
+                    _parse_header_block(block, blob_start)
+                    saw_header = True
+                elif blob_type == "OSMData":
+                    _parse_primitive_block(block, blob_start, out)
+                # Unknown blob types are skipped, as the format prescribes.
+                pos = blob_start + datasize
     except PbfError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
@@ -476,11 +408,7 @@ def _resolve(out: PbfData) -> None:
 
 
 def _ev(fnum: int, value: int) -> bytes:
-    return _ekey(fnum, 0) + _uv(value)
-
-
-def _ekey(fnum: int, wt: int) -> bytes:
-    return _uv((fnum << 3) | wt)
+    return _uv(fnum << 3) + _uv(value)
 
 
 def _uv(n: int) -> bytes:
@@ -500,7 +428,7 @@ def _sv(n: int) -> bytes:
 
 
 def _ld(fnum: int, payload: bytes) -> bytes:
-    return _ekey(fnum, 2) + _uv(len(payload)) + payload
+    return _uv((fnum << 3) | 2) + _uv(len(payload)) + payload
 
 
 def _packed_s(fnum: int, values) -> bytes:
@@ -520,83 +448,51 @@ def _deltas(values) -> list[int]:
     return out
 
 
-class _StringTable:
-    def __init__(self):
-        self.strings = [""]
-        self.index = {"": 0}
-
-    def add(self, s: str) -> int:
-        if s not in self.index:
-            self.index[s] = len(self.strings)
-            self.strings.append(s)
-        return self.index[s]
-
-    def encode(self) -> bytes:
-        return b"".join(_ld(1, s.encode("utf-8")) for s in self.strings)
-
-
 def write_pbf(path: str, nodes=(), ways=(), relations=()) -> None:
     """Write elements as a header blob plus one compressed data blob.
 
     Coordinates are quantised to the standard 100-nanodegree granularity.
     Ways carry node references only; readers resolve coordinates themselves.
     """
-    table = _StringTable()
+    # String table: each string's index is its insertion order, "" first.
+    table = {"": 0}
 
-    def tag_indices(tags):
-        keys = [table.add(k) for k, _ in tags]
-        vals = [table.add(v) for _, v in tags]
-        return keys, vals
+    def sid(s: str) -> int:
+        return table.setdefault(s, len(table))
 
-    dense = bytearray()
+    def head(element) -> bytes:
+        """A way's or relation's id, keys and vals."""
+        keys = [sid(k) for k, _ in element.tags]
+        vals = [sid(v) for _, v in element.tags]
+        msg = _ev(1, element.id)
+        return msg + _packed_u(2, keys) + _packed_u(3, vals) if keys else msg
+
+    dense = b""
     nodes = sorted(nodes, key=lambda n: n.id)
     if nodes:
-        ids = [n.id for n in nodes]
         lats = [round(n.lat / (COORD_SCALE * DEFAULT_GRANULARITY)) for n in nodes]
         lons = [round(n.lon / (COORD_SCALE * DEFAULT_GRANULARITY)) for n in nodes]
-        keys_vals: list[int] = []
+        dense = _packed_s(1, _deltas(n.id for n in nodes)) + _packed_s(8, _deltas(lats)) + _packed_s(9, _deltas(lons))
         if any(n.tags for n in nodes):
+            keys_vals: list[int] = []
             for n in nodes:
                 for k, v in n.tags:
-                    keys_vals.extend((table.add(k), table.add(v)))
+                    keys_vals += (sid(k), sid(v))
                 keys_vals.append(0)
-        dense += _packed_s(1, _deltas(ids))
-        dense += _packed_s(8, _deltas(lats))
-        dense += _packed_s(9, _deltas(lons))
-        if keys_vals:
             dense += _packed_u(10, keys_vals)
-
-    way_msgs = []
-    for w in ways:
-        keys, vals = tag_indices(w.tags)
-        msg = _ev(1, w.id)
-        if keys:
-            msg += _packed_u(2, keys) + _packed_u(3, vals)
-        msg += _packed_s(8, _deltas(w.refs))
-        way_msgs.append(msg)
-
-    rel_msgs = []
-    for r in relations:
-        keys, vals = tag_indices(r.tags)
-        msg = _ev(1, r.id)
-        if keys:
-            msg += _packed_u(2, keys) + _packed_u(3, vals)
-        roles = [table.add(role) for _, _, role in r.members]
-        memids = [ref for _, ref, _ in r.members]
-        types = [MEMBER_TYPES.index(t) for t, _, _ in r.members]
-        msg += _packed_u(8, roles)
-        msg += _packed_s(9, _deltas(memids))
-        msg += _packed_u(10, types)
-        rel_msgs.append(msg)
-
-    block = _ld(1, table.encode())
-    if dense:
-        block += _ld(2, _ld(2, bytes(dense)))
-    if way_msgs:
-        block += _ld(2, b"".join(_ld(3, m) for m in way_msgs))
-    if rel_msgs:
-        block += _ld(2, b"".join(_ld(4, m) for m in rel_msgs))
-    block += _ekey(17, 0) + _uv(DEFAULT_GRANULARITY)
+    way_msgs = [head(w) + _packed_s(8, _deltas(w.refs)) for w in ways]
+    rel_msgs = [
+        head(r)
+        + _packed_u(8, [sid(role) for _, _, role in r.members])
+        + _packed_s(9, _deltas(ref for _, ref, _ in r.members))
+        + _packed_u(10, [MEMBER_TYPES.index(t) for t, _, _ in r.members])
+        for r in relations
+    ]
+    block = _ld(1, b"".join(_ld(1, s.encode("utf-8")) for s in table))
+    for fnum, msgs in ((2, [dense] if nodes else []), (3, way_msgs), (4, rel_msgs)):
+        if msgs:
+            block += _ld(2, b"".join(_ld(fnum, msg) for msg in msgs))
+    block += _ev(17, DEFAULT_GRANULARITY)
 
     header_block = _ld(4, b"OsmSchema-V0.6") + _ld(4, b"DenseNodes")
 

@@ -41,6 +41,8 @@ def huber_masked(
     """
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     # Two full-size float64 buffers, each step in the order of the textbook
     # np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta), so every value
     # is bit-identical to it.  The linear branch (d >= beta, or NaN) is a

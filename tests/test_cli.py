@@ -183,6 +183,21 @@ def test_process_default_eps_is_the_library_default(pipeline):
     assert _store_bytes(proc) == _store_bytes(explicit)
 
 
+def test_bad_flags_fail_before_any_output(pipeline, capsys):
+    tmp_path, store, proc = pipeline
+    out_dir = tmp_path / "tasks"
+    assert main(["synth-task", proc, "--task", "bridge", "--out-dir", str(out_dir),
+                 "--split-ratios", "1.5", "-0.25", "-0.25"]) == 1
+    assert "train ratio must lie in [0, 1], got 1.5" in capsys.readouterr().err
+    assert not out_dir.exists()
+    # A NaN tolerance would collapse every polyline; the store already in
+    # --out keeps its index.
+    before = _store_bytes(proc)
+    assert main(["process", store, proc, "--eps-m", "nan"]) == 1
+    assert "--eps-m must be a number, got nan" in capsys.readouterr().err
+    assert _store_bytes(proc) == before
+
+
 def test_synth_task_all_bundled(pipeline):
     tmp_path, store, proc = pipeline
     expected = {

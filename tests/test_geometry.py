@@ -148,6 +148,13 @@ def test_two_points_pass_through():
     assert list(douglas_peucker(line, eps=100.0)) == line
 
 
+@pytest.mark.parametrize("eps", [-0.1, float("nan")])
+def test_negative_or_nan_eps_is_rejected(eps):
+    # A NaN eps compared false against every distance and kept only the endpoints.
+    with pytest.raises(ValueError, match=f"eps must be non-negative, got {eps}"):
+        douglas_peucker([(0.0, 0.0), (0.5, 0.3), (1.0, 0.0)], eps)
+
+
 def test_matches_recursive_reference():
     rng = np.random.default_rng(41)
     for _ in range(200):

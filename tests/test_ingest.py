@@ -488,3 +488,12 @@ def test_split_groups_rejects_bad_ratios():
         split_groups([(16, 0, 0)], (0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError, match="per split"):
         split_groups([(16, 0, 0)], (0.5, 0.5), seed=0)
+    # Each of these sums to 1 (or is NaN), so only the per-ratio check catches it.
+    for ratios, message in (
+        ((1.5, -0.25, -0.25), r"train ratio must lie in \[0, 1\], got 1.5"),
+        ((0.5, 1.25, -0.75), r"val ratio must lie in \[0, 1\], got 1.25"),
+        ((1.0, 0.0, float("nan")), r"test ratio must lie in \[0, 1\], got nan"),
+        ((float("inf"), 0.0, 0.0), r"train ratio must lie in \[0, 1\], got inf"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            split_groups([(16, 0, 0)], ratios, seed=0)

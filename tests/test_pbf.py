@@ -4,6 +4,8 @@ The golden-bytes test encodes a tiny file by hand, byte by byte, so the
 reader is pinned against an encoding the writer had no part in.
 """
 
+import hashlib
+import io
 import struct
 import zlib
 
@@ -276,6 +278,51 @@ def test_writer_reader_round_trip_with_random_elements(tmp_path):
     assert [(r.id, r.members, r.tags) for r in data.relations] == [
         (r.id, r.members, r.tags) for r in relations
     ]
+
+
+# Tagged and untagged nodes out of id order, a tagged way and a relation
+# with roles; "Mitte" repeats, so the string table reuses an index.
+_PINNED = dict(
+    nodes=[
+        RawNode(3, 13.405, 52.52, (("amenity", "cafe"), ("name", "Mitte"))),
+        RawNode(1, -0.1276, 51.5072),
+        RawNode(2, 2.3522, -48.8566, (("amenity", "bench"),)),
+    ],
+    ways=[RawWay(10, (1, 2, 3, 1), (("building", "yes"), ("name", "Mitte")))],
+    relations=[
+        RawRelation(
+            20,
+            (("way", 10, "outer"), ("node", 2, "label"), ("relation", 21, "subarea")),
+            (("type", "multipolygon"),),
+        )
+    ],
+)
+
+
+def test_writer_bytes_are_pinned(tmp_path):
+    path = tmp_path / "pinned.osm.pbf"
+    write_pbf(str(path), **_PINNED)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c299b803e1462b67b6ac480ea4014461bfbbbd3113add9b9405e3134e1864ddc"
+    )
+
+
+def test_reader_reads_one_blob_at_a_time(tmp_path, monkeypatch):
+    path = tmp_path / "pinned.osm.pbf"
+    write_pbf(str(path), **_PINNED)
+    expected = read_pbf(str(path))
+    sizes = []
+
+    class Recorder(io.BufferedReader):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    monkeypatch.setattr(pbf, "open", lambda file, mode: Recorder(io.FileIO(file, mode)), raising=False)
+    assert read_pbf(str(path)) == expected
+    assert all(0 <= size <= MAX_BLOB_SIZE for size in sizes)
+    # Length, header and blob of each of the two blobs, then the empty read at the end.
+    assert len(sizes) == 7
 
 
 def test_empty_file_yields_nothing(tmp_path):

@@ -92,6 +92,14 @@ def test_huber_shape_mismatch():
         huber_masked(np.zeros((1, 2, 3)), np.zeros((1, 2, 4)), np.ones((1, 2), dtype=bool))
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+def test_huber_beta_must_be_positive_and_finite(beta):
+    # beta 0 divided by zero, -1 gave 1.5 for a unit error, and NaN gave NaN.
+    pred = np.ones((1, 1, 1))
+    with pytest.raises(ValueError, match=f"beta must be positive and finite, got {beta}"):
+        huber_masked(pred, pred * 2, np.ones((1, 1), dtype=bool), beta=beta)
+
+
 # ------------------------------------------- kernels against textbook forms
 # huber_masked and vicreg_var_cov work in place to spare full-size temporaries;
 # these are the plain expressions they replaced, and the kernels must equal
