@@ -210,10 +210,11 @@ def cmd_loss_check(args) -> int:
     vicreg_beta = training.VICREG_BETA if args.vicreg_beta is None else args.vicreg_beta
     huber = training.huber_masked(pred.payload, target.payload, valid, beta=beta, per_token=args.per_token)
     var, cov = training.vicreg_var_cov(pred.payload, valid)
+    total = training.total_loss(huber, var, cov, vicreg_beta)
     _print(f"huber      {huber!r}")
     _print(f"variance   {var!r}")
     _print(f"covariance {cov!r}")
-    _print(f"total      {training.total_loss(huber, var, cov, vicreg_beta)!r}")
+    _print(f"total      {total!r}")
     return 0
 
 

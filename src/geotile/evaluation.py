@@ -104,6 +104,8 @@ def knn(
 
     metric "l2" is Euclidean distance, "cosine" is 1 − cosine similarity.
     """
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     corpus = np.asarray(corpus, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
     if corpus.ndim != 2 or query.shape != (corpus.shape[1],):

@@ -144,21 +144,16 @@ def _clamp_unit(p: Coord) -> Coord:
     return (min(max(p[0], 0.0), 1.0), min(max(p[1], 0.0), 1.0))
 
 
-def _clip_polygon_rings(rings) -> list[list[Coord]] | None:
-    """Clip outer ring and holes independently; None when the outer vanishes."""
-    outer = clip_ring_unit([p for p in rings[0][:-1]])
-    if len(outer) < 3 or abs(shoelace_area(outer)) <= DEGENERATE_AREA:
-        return None
-    clipped = [outer]
-    for hole in rings[1:]:
-        h = clip_ring_unit([p for p in hole[:-1]])
-        if len(h) >= 3 and abs(shoelace_area(h)) > DEGENERATE_AREA:
-            clipped.append(h)
+def _clip_polygon(rings) -> list[list[Coord]] | None:
+    """Outer ring and holes clipped independently, clamped and closed; None when the outer vanishes."""
+    clipped: list[list[Coord]] = []
+    for ring in rings:
+        r = clip_ring_unit(ring[:-1])
+        if len(r) >= 3 and abs(shoelace_area(r)) > DEGENERATE_AREA:
+            clipped.append([_clamp_unit(p) for p in r] + [_clamp_unit(r[0])])
+        elif not clipped:
+            return None
     return clipped
-
-
-def _close(ring: list[Coord]) -> list[Coord]:
-    return [_clamp_unit(p) for p in ring] + [_clamp_unit(ring[0])]
 
 
 def clip_entity_unit(entity: Entity) -> tuple[list[Entity], int]:
@@ -187,24 +182,17 @@ def clip_entity_unit(entity: Entity) -> tuple[list[Entity], int]:
                 out.append(Entity(entity.id, entity.kind, entity.tags, Geometry.polyline(pts)))
             else:
                 dropped += 1
-    elif geom.kind == "polygon":
-        rings = _clip_polygon_rings(geom.coords)
-        if rings is None:
-            dropped += 1
-        else:
-            out.append(
-                Entity(entity.id, entity.kind, entity.tags, Geometry.polygon([_close(r) for r in rings]))
-            )
-    elif geom.kind == "multipolygon":
+    else:  # a polygon clips as a multipolygon of one, so both areal kinds share this path
         polys = []
-        for poly in geom.coords:
-            rings = _clip_polygon_rings(poly)
-            if rings is None:
+        for poly in geom.coords if geom.kind == "multipolygon" else (geom.coords,):
+            clipped = _clip_polygon(poly)
+            if clipped is None:
                 dropped += 1
             else:
-                polys.append([_close(r) for r in rings])
+                polys.append(clipped)
         if polys:
-            out.append(Entity(entity.id, entity.kind, entity.tags, Geometry.multipolygon(polys)))
+            coords = polys if geom.kind == "multipolygon" else polys[0]
+            out.append(Entity(entity.id, entity.kind, entity.tags, Geometry.of(geom.kind, coords)))
     return out, dropped
 
 
@@ -239,67 +227,55 @@ def candidate_tiles(entity: Entity, zoom: int) -> list[TileId]:
 # ------------------------------------------------- element -> entity stage
 
 
-def _way_geometry(way: RawWay) -> Geometry:
+def _way_entities(way: RawWay, tags: tuple[tuple[str, str], ...]) -> list[Entity]:
+    """The way as a polygon when its refs close, else as a polyline; none under 2 points."""
+    if len(way.coords) < 2:
+        return []
     closed = len(way.refs) >= 4 and way.refs[0] == way.refs[-1]
-    if closed:
-        return Geometry.polygon([way.coords])
-    return Geometry.polyline(way.coords)
+    geom = Geometry.polygon([way.coords]) if closed else Geometry.polyline(way.coords)
+    return [Entity(way.id, "way", tags, geom)]
 
 
-def _merge_tags(
-    base: tuple[tuple[str, str], ...], override: tuple[tuple[str, str], ...]
-) -> tuple[tuple[str, str], ...]:
-    merged = dict(base)
-    merged.update(override)
-    return tuple(merged.items())
+def _join(chain: list, other: list) -> list | None:
+    """chain and other joined where an end node of one starts the other, or None.
+
+    Chains are lists of (node id, coord), and a node has the same coord in
+    every way.  other joins at chain's tail before its head, forward before
+    reversed.
+    """
+    back = other[::-1]
+    for first, second in ((chain, other), (chain, back), (other, chain), (back, chain)):
+        if first[-1][0] == second[0][0]:
+            return first + second[1:]
+    return None
 
 
 def _stitch_rings(ways: list[RawWay]) -> list[tuple[Coord, ...]] | None:
     """Join member ways by shared endpoint node ids into closed rings.
 
-    Returns None unless every way is consumed by some closed ring.
+    Each open chain takes the first other chain that joins it until it
+    closes.  Returns None unless every way ends up in a closed ring of at
+    least 4 points.
     """
-    chains = [(list(w.refs), list(w.coords)) for w in ways if len(w.refs) >= 2]
-    if len(chains) != len(ways):
+    if any(len(w.refs) < 2 for w in ways):
         return None
-    rings: list[tuple[Coord, ...]] = []
-    open_chains: list[tuple[list[int], list[Coord]]] = []
-    for refs, coords in chains:
-        if refs[0] == refs[-1]:
-            if len(refs) >= 4:
-                rings.append(tuple(coords))
-            else:
-                return None
-        else:
-            open_chains.append((refs, coords))
+    chains = [list(zip(w.refs, w.coords)) for w in ways]
+    rings = [c for c in chains if c[0][0] == c[-1][0]]
+    open_chains = [c for c in chains if c[0][0] != c[-1][0]]
     while open_chains:
-        refs, coords = open_chains.pop()
-        joined = True
-        while joined and refs[0] != refs[-1]:
-            joined = False
-            for k, (orefs, ocoords) in enumerate(open_chains):
-                if refs[-1] == orefs[0]:
-                    refs += orefs[1:]
-                    coords += ocoords[1:]
-                elif refs[-1] == orefs[-1]:
-                    refs += orefs[-2::-1]
-                    coords += ocoords[-2::-1]
-                elif refs[0] == orefs[-1]:
-                    refs = orefs[:-1] + refs
-                    coords = ocoords[:-1] + coords
-                elif refs[0] == orefs[0]:
-                    refs = orefs[::-1][:-1] + refs
-                    coords = ocoords[::-1][:-1] + coords
-                else:
-                    continue
+        chain = open_chains.pop()
+        k = 0
+        while chain[0][0] != chain[-1][0] and k < len(open_chains):
+            joined = _join(chain, open_chains[k])
+            if joined is None:
+                k += 1
+            else:
                 open_chains.pop(k)
-                joined = True
-                break
-        if refs[0] == refs[-1] and len(refs) >= 4:
-            rings.append(tuple(coords))
-        else:
-            return None
-    return rings if rings else None
+                chain, k = joined, 0
+        rings.append(chain)
+    if rings and all(len(r) >= 4 and r[0][0] == r[-1][0] for r in rings):
+        return [tuple(c for _, c in r) for r in rings]
+    return None
 
 
 def _point_in_ring(p: Coord, ring: Sequence[Coord]) -> bool:
@@ -383,32 +359,22 @@ def elements_to_entities(data: PbfData) -> list[Entity]:
         if node.tags:
             entities.append(Entity(node.id, "node", node.tags, Geometry.point((node.lon, node.lat))))
     for way in data.ways:
-        if not way.tags and way.id in member_way_ids:
-            continue
-        if len(way.coords) < 2:
-            continue
-        entities.append(Entity(way.id, "way", way.tags, _way_geometry(way)))
+        if way.tags or way.id not in member_way_ids:
+            entities += _way_entities(way, way.tags)
     emitted_fallback: set[int] = set()
     for rel in data.relations:
         member_ways = [ways_by_id[ref] for mtype, ref, _ in rel.members if mtype == "way" and ref in ways_by_id]
-        if not member_ways:
-            continue
         rings = _stitch_rings(member_ways)
         if rings is not None:
             polygons = _nest_rings(rings)
             entities.append(Entity(rel.id, "relation", rel.tags, Geometry.multipolygon(polygons)))
-        else:
-            # Only ways withheld from the standalone pass may surface here,
-            # and once each; a way id must not appear twice in one tile.
-            for way in member_ways:
-                if way.tags or way.id in emitted_fallback:
-                    continue
-                if len(way.coords) < 2:
-                    continue
+            continue
+        # Only ways withheld from the standalone pass (so untagged) surface
+        # here, and once each: a way id must not appear twice in one tile.
+        for way in member_ways:
+            if not way.tags and way.id not in emitted_fallback:
                 emitted_fallback.add(way.id)
-                entities.append(
-                    Entity(way.id, "way", _merge_tags(rel.tags, way.tags), _way_geometry(way))
-                )
+                entities += _way_entities(way, tuple(dict(rel.tags).items()))
     return entities
 
 

@@ -3,10 +3,16 @@
 Coordinates are stored as plain nested tuples of floats so that values
 survive serialisation round trips exactly; algorithms convert to numpy
 arrays at their boundaries.
+
+The geometry schema lives here too.  Geometry.of checks the nesting by
+kind, the minimum list lengths, closed rings and finite numbers; the four
+kind constructors, the TEF decoder and process all build through it, and
+its GeometryError names the place below coords that fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Literal, Sequence
 
@@ -14,7 +20,6 @@ from .geo import TileId
 
 Coord = tuple[float, float]
 Ring = tuple[Coord, ...]          # closed: first == last, >= 4 stored points
-Polygon = tuple[Ring, ...]        # outer ring first, then holes
 
 GeometryKind = Literal["point", "polyline", "polygon", "multipolygon"]
 
@@ -27,23 +32,84 @@ def tag_key(key: str, value: str) -> str:
     return f"{key}={value}"
 
 
-def _as_coord(p: Sequence[float]) -> Coord:
-    return (float(p[0]), float(p[1]))
+class GeometryError(ValueError):
+    """Coordinates that break the geometry schema at where, the place below coords such as ``[1][0]``."""
+
+    def __init__(self, where: str, message: str):
+        super().__init__(f"coords{where}: {message}")
+        self.where = where
+        self.message = message
 
 
-def _as_ring(ring: Sequence[Sequence[float]]) -> Ring:
-    return tuple(_as_coord(p) for p in ring)
+def number(value, where: str = "") -> float:
+    """value as a finite float; a bool, a non-number or an overflow raises GeometryError at where."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GeometryError(where, f"expected number, got {type(value).__name__}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):  # a literal such as 1e999 reads as inf
+        raise GeometryError(where, "number out of float range")
+    return out
 
+
+def _pair(value) -> Coord | None:
+    """(x, y) for a list or tuple of two finite floats, else None; builds no error path."""
+    if (type(value) is tuple or type(value) is list) and len(value) == 2:
+        x, y = value
+        # x - x is 0.0 for a finite x and nan for inf or nan.
+        if type(x) is float and type(y) is float and x - x == y - y:
+            return (x, y)
+    return None
+
+
+def coord(value, where: str = "") -> Coord:
+    """(x, y) of finite floats from a list or tuple of two numbers, else GeometryError at where."""
+    pair = _pair(value)
+    if pair is not None:
+        return pair
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise GeometryError(where, "expected [x, y]")
+    return (number(value[0], where + "[0]"), number(value[1], where + "[1]"))
+
+
+_POLYGON = (1, "polygon needs at least one ring")
+_RING = (4, "ring must be a closed list of at least 4 points")
+
+# The lists of coords by kind, outermost first, as (least length, message when shorter).
+_LISTS = {
+    "point": (),
+    "polyline": ((2, "polyline needs at least 2 points"),),
+    "polygon": (_POLYGON, _RING),
+    "multipolygon": ((1, "multipolygon needs at least one polygon"), _POLYGON, _RING),
+}
 
 # Nesting depth of Geometry.coords by kind: 0 is one point, 1 a point list.
-_DEPTH = {"point": 0, "polyline": 1, "polygon": 2, "multipolygon": 3}
+_DEPTH = {kind: len(lists) for kind, lists in _LISTS.items()}
+
+
+def _checked(value, lists: tuple, where: str) -> tuple:
+    """value as nested tuples of floats, each list checked against lists."""
+    if not lists:
+        return coord(value, where)
+    least, message = lists[0]
+    if not isinstance(value, (list, tuple)) or len(value) < least:
+        raise GeometryError(where, message)
+    if len(lists) > 1:
+        out = tuple(_checked(v, lists[1:], f"{where}[{i}]") for i, v in enumerate(value))
+    else:  # the path string is built only for a point that fails _pair
+        out = tuple(_pair(p) or coord(p, f"{where}[{i}]") for i, p in enumerate(value))
+    if lists[0] is _RING and out[0] != out[-1]:
+        raise GeometryError(where, "ring is not closed")
+    return out
 
 
 @dataclass(frozen=True)
 class Geometry:
     """One of point / polyline / polygon / multipolygon.
 
-    coords nesting by kind:
+    coords nesting by kind, as Geometry.of checks it:
       point         (x, y)
       polyline      ((x, y), ...)            >= 2 points
       polygon       (ring, ...)              rings closed, outer first
@@ -58,25 +124,25 @@ class Geometry:
     coords: tuple
 
     @staticmethod
+    def of(kind: GeometryKind, coords) -> "Geometry":
+        """kind's geometry from coords checked by the schema, as nested float tuples."""
+        return Geometry(kind, _checked(coords, _LISTS[kind], ""))
+
+    @staticmethod
     def point(p: Sequence[float]) -> "Geometry":
-        return Geometry("point", _as_coord(p))
+        return Geometry.of("point", p)
 
     @staticmethod
     def polyline(points: Sequence[Sequence[float]]) -> "Geometry":
-        pts = tuple(_as_coord(p) for p in points)
-        if len(pts) < 2:
-            raise ValueError("polyline needs at least 2 points")
-        return Geometry("polyline", pts)
+        return Geometry.of("polyline", points)
 
     @staticmethod
     def polygon(rings: Sequence[Sequence[Sequence[float]]]) -> "Geometry":
-        return Geometry("polygon", _validated_polygon(rings))
+        return Geometry.of("polygon", rings)
 
     @staticmethod
     def multipolygon(polygons: Sequence) -> "Geometry":
-        if not polygons:
-            raise ValueError("multipolygon needs at least one polygon")
-        return Geometry("multipolygon", tuple(_validated_polygon(p) for p in polygons))
+        return Geometry.of("multipolygon", polygons)
 
     def map(self, fn: Callable, depth: int = 0) -> "Geometry":
         """The same kind with fn applied to every point (depth 0) or to every
@@ -109,18 +175,6 @@ class Geometry:
         else:
             for ring in self.rings():
                 yield from ring
-
-
-def _validated_polygon(rings: Sequence) -> Polygon:
-    if not rings:
-        raise ValueError("polygon needs at least one ring")
-    out = []
-    for ring in rings:
-        r = _as_ring(ring)
-        if len(r) < 4 or r[0] != r[-1]:
-            raise ValueError("ring must be closed with at least 4 stored points")
-        out.append(r)
-    return tuple(out)
 
 
 @dataclass(frozen=True)

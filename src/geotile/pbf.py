@@ -136,19 +136,28 @@ def _fields(buf: bytes, base: int):
         yield fnum, wt, val
 
 
-def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes]:
-    """The last value of each (field number, wire type) in one message.
+def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes | list[bytes]]:
+    """Each (field number, wire type) of one message.
 
-    The last one wins, as protobuf prescribes for a field that is not
-    repeated.  A field read with the wrong wire type is a different key, so
-    a mistyped id or coordinate is simply absent.
+    A varint or fixed-size field keeps its last value, as protobuf
+    prescribes for a field that is not repeated.  A length-delimited field
+    keeps the list of all its copies: a packed repeated field is their
+    concatenation, an embedded message their merge (the same bytes joined),
+    and a string the last.  A field read with the wrong wire type is a
+    different key, so a mistyped id or coordinate is simply absent.
     """
-    return {(fnum, wt): val for fnum, wt, val in _fields(buf, base)}
+    m: dict = {}
+    for fnum, wt, val in _fields(buf, base):
+        if wt == 2:
+            m.setdefault((fnum, 2), []).append(val)
+        else:
+            m[fnum, wt] = val
+    return m
 
 
 def _varints(m: dict, fnum: int, base: int) -> list[int]:
-    """A packed varint field; empty when the message lacks it."""
-    buf = m.get((fnum, 2), b"")
+    """A packed varint field, every copy of it joined; empty when the message lacks it."""
+    buf = b"".join(m.get((fnum, 2), ()))
     out = []
     i = 0
     while i < len(buf):
@@ -251,7 +260,7 @@ def _relation(m: dict, table: list[str], base: int) -> RawRelation:
 
 def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
     m = _message(buf, base)
-    entries = _fields(m.get((1, 2), b""), base)
+    entries = _fields(b"".join(m.get((1, 2), ())), base)
     table = [_text(val, "string table entry", base) for fnum, wt, val in entries if (fnum, wt) == (1, 2)]
     granularity = m.get((17, 0), DEFAULT_GRANULARITY)
     offsets = {"lat": _int64(m.get((19, 0), 0)), "lon": _int64(m.get((20, 0), 0))}
@@ -259,8 +268,7 @@ def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
     def coord(raw: int, axis: str) -> float:
         return COORD_SCALE * (offsets[axis] + granularity * raw)
 
-    groups = [val for fnum, wt, val in _fields(buf, base) if (fnum, wt) == (2, 2)]
-    for group in groups:
+    for group in m.get((2, 2), ()):
         for fnum, wt, val in _fields(group, base):
             if wt != 2 or fnum not in (1, 2, 3, 4):
                 continue
@@ -345,7 +353,7 @@ def read_pbf(path: str) -> PbfData:
                 m = _message(header, header_start)
                 if (1, 2) not in m or (3, 0) not in m:
                     raise PbfError("blob header missing type or datasize", pos)
-                blob_type, datasize = _text(m[1, 2], "blob type", header_start), m[3, 0]
+                blob_type, datasize = _text(m[1, 2][-1], "blob type", header_start), m[3, 0]
                 if datasize > MAX_BLOB_SIZE:
                     raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
                 blob_start = header_start + header_len

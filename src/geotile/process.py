@@ -32,8 +32,7 @@ def simplify_geometry(geom: Geometry, eps: float) -> Geometry:
         slim = douglas_peucker(line, eps)
         return slim if len(slim) >= min_len else line
 
-    # Rebuilt through the kind's validating constructor.
-    return getattr(Geometry, geom.kind)(geom.map(simplify, depth=1).coords)
+    return Geometry.of(geom.kind, geom.map(simplify, depth=1).coords)
 
 
 def process_entity(entity: Entity, tile: Tile, eps_norm: float, seed: int) -> Entity:

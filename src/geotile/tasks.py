@@ -329,8 +329,8 @@ def write_labels(labels: dict[str, float], path: str) -> None:
 def read_value_csv(path: str, header: str) -> dict[tuple[str, ...], float]:
     """Map each line's leading columns, a unique key, to its last column as a float.
 
-    A bad header, short line, non-number, repeated key or bytes that are not
-    UTF-8 raise ValueError at ``path:line``.
+    A bad header, short line, non-number, NaN or infinite value, repeated key
+    or bytes that are not UTF-8 raise ValueError at ``path:line``.
     """
     from .tef import utf8_lines
 
@@ -351,6 +351,8 @@ def read_value_csv(path: str, header: str) -> dict[tuple[str, ...], float]:
                 number = float(value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {names[-1]} {value!r} is not a number") from None
+            if not math.isfinite(number):
+                raise ValueError(f"{path}:{lineno}: {names[-1]} {value!r} is not finite")
             key = tuple(key)
             if key in out:
                 raise ValueError(f"{path}:{lineno}: duplicate {','.join(names[:-1])} {','.join(key)!r}")

@@ -3,7 +3,8 @@
 The writer emits a canonical form (fixed key order, no whitespace, floats in
 shortest round-trip notation) so write -> parse -> write is byte-identical.
 Parsing validates the schema and reports the line number and field path of
-the first violation.
+the first violation.  The geometry schema is model's: Geometry.of checks
+coordinates, and its errors are reported here at their TEF field path.
 
 A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
 gzipped TEF lines of one 4x4 block of the tile grid (at most 16 tiles), plus
@@ -20,12 +21,11 @@ from __future__ import annotations
 import contextlib
 import gzip
 import json
-import math
 import os
 import re
 import zlib
 from collections import defaultdict
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_args
 
 from .geo import TileId
 from .model import (
@@ -33,14 +33,20 @@ from .model import (
     EDGE_VISIBLE,
     Entity,
     Geometry,
+    GeometryError,
+    GeometryKind,
     MinBox,
     Tile,
     VisibilityGraph,
+    coord,
+    number,
 )
 
 GROUP_SPAN = 4  # tiles per group file along each axis
 
 INDEX_NAME = "index.json"
+
+_KINDS = get_args(GeometryKind)
 
 
 class TefError(ValueError):
@@ -101,81 +107,21 @@ def _fail(path: str, message: str, lineno: int | None) -> TefError:
     return TefError(f"{path}: {message}{where}")
 
 
-def _number(value, path: str, lineno) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(path, f"expected number, got {type(value).__name__}", lineno)
+def _schema(path: str, lineno, check, *args):
+    """check(*args), with a GeometryError from it raised as a TefError at path plus its where."""
     try:
-        number = float(value)
-    except OverflowError:
-        raise _fail(path, "number out of float range", lineno) from None
-    if not math.isfinite(number):  # a literal such as 1e999 reads as inf
-        raise _fail(path, "number out of float range", lineno)
-    return number
-
-
-def _pair(value) -> tuple[float, float] | None:
-    """(x, y) for an [x, y] of two finite floats, else None; builds no error path.
-
-    The writer emits every coordinate as a float, so only hand-written ints
-    and bad input take _coord's path-naming route.  x - x is 0.0 for a
-    finite x and nan for inf, so one comparison checks both.
-    """
-    if type(value) is list and len(value) == 2:
-        x, y = value
-        if type(x) is float and type(y) is float and x - x == y - y:
-            return (x, y)
-    return None
-
-
-def _coord(value, path: str, lineno) -> tuple[float, float]:
-    pair = _pair(value)
-    if pair is not None:
-        return pair
-    if not isinstance(value, list) or len(value) != 2:
-        raise _fail(path, "expected [x, y]", lineno)
-    return (_number(value[0], path + "[0]", lineno), _number(value[1], path + "[1]", lineno))
-
-
-def _points(values: list, path: str, lineno) -> tuple[tuple[float, float], ...]:
-    return tuple(_pair(p) or _coord(p, f"{path}[{i}]", lineno) for i, p in enumerate(values))
-
-
-def _ring(value, path: str, lineno):
-    if not isinstance(value, list) or len(value) < 4:
-        raise _fail(path, "ring must be a closed list of at least 4 points", lineno)
-    pts = _points(value, path, lineno)
-    if pts[0] != pts[-1]:
-        raise _fail(path, "ring is not closed", lineno)
-    return pts
+        return check(*args)
+    except GeometryError as exc:
+        raise _fail(path + exc.where, exc.message, lineno) from None
 
 
 def _geometry(obj, path: str, lineno) -> Geometry:
-    """Geometry built from coordinates validated here, so its checks are not rerun."""
     if not isinstance(obj, dict):
         raise _fail(path, "expected object", lineno)
     kind = obj.get("type")
-    coords = obj.get("coords")
-    if kind == "point":
-        return Geometry("point", _coord(coords, path + ".coords", lineno))
-    if kind == "polyline":
-        if not isinstance(coords, list) or len(coords) < 2:
-            raise _fail(path + ".coords", "polyline needs at least 2 points", lineno)
-        return Geometry("polyline", _points(coords, path + ".coords", lineno))
-    if kind == "polygon":
-        if not isinstance(coords, list) or not coords:
-            raise _fail(path + ".coords", "polygon needs at least one ring", lineno)
-        rings = tuple(_ring(r, f"{path}.coords[{i}]", lineno) for i, r in enumerate(coords))
-        return Geometry("polygon", rings)
-    if kind == "multipolygon":
-        if not isinstance(coords, list) or not coords:
-            raise _fail(path + ".coords", "multipolygon needs at least one polygon", lineno)
-        polys = []
-        for i, poly in enumerate(coords):
-            if not isinstance(poly, list) or not poly:
-                raise _fail(f"{path}.coords[{i}]", "polygon needs at least one ring", lineno)
-            polys.append(tuple(_ring(r, f"{path}.coords[{i}][{j}]", lineno) for j, r in enumerate(poly)))
-        return Geometry("multipolygon", tuple(polys))
-    raise _fail(path + ".type", f"unknown geometry type {kind!r}", lineno)
+    if kind not in _KINDS:
+        raise _fail(path + ".type", f"unknown geometry type {kind!r}", lineno)
+    return _schema(path + ".coords", lineno, Geometry.of, kind, obj.get("coords"))
 
 
 def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
@@ -223,7 +169,7 @@ def _entity(obj, path: str, lineno) -> Entity:
         if not isinstance(mb, list) or len(mb) != 8:
             raise _fail(path + ".minbox", "expected 8 numbers", lineno)
         v = [
-            x if type(x) is float and x - x == 0.0 else _number(x, f"{path}.minbox[{i}]", lineno)
+            x if type(x) is float and x - x == 0.0 else _schema(f"{path}.minbox[{i}]", lineno, number, x)
             for i, x in enumerate(mb)
         ]
         minbox = MinBox(((v[0], v[1]), (v[2], v[3]), (v[4], v[5]), (v[6], v[7])))
@@ -250,8 +196,8 @@ def tile_from_json(line: str, lineno: int | None = None) -> Tile:
         tid = TileId.parse(obj["id"])
     except ValueError as exc:
         raise _fail("tile.id", str(exc), lineno) from None
-    extent = _number(obj.get("extent_m"), "tile.extent_m", lineno)
-    origin = _coord(obj.get("origin"), "tile.origin", lineno)
+    extent = _schema("tile.extent_m", lineno, number, obj.get("extent_m"))
+    origin = _schema("tile.origin", lineno, coord, obj.get("origin"))
     entities_obj = obj.get("entities")
     if not isinstance(entities_obj, list):
         raise _fail("tile.entities", "expected list", lineno)

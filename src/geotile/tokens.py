@@ -79,7 +79,8 @@ class EmbeddingTable:
 def load_embeddings(path: str) -> EmbeddingTable:
     """Text table: header ``d=<int>``, then ``key=value<TAB>f1 f2 ... fd``.
 
-    A bad header or row, or bytes that are not UTF-8, raise ValueError at ``path:line``.
+    A bad header or row, a repeated tag, or bytes that are not UTF-8, raise
+    ValueError at ``path:line``.
     """
     from .tef import utf8_lines
 
@@ -96,6 +97,8 @@ def load_embeddings(path: str) -> EmbeddingTable:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: missing tab separator")
             tag, values = line.rstrip("\n").split("\t", 1)
+            if tag in vectors:
+                raise ValueError(f"{path}:{lineno}: duplicate tag {tag!r}")
             try:
                 vec = np.array([float(x) for x in values.split()], dtype=np.float64)
             except ValueError:

@@ -86,6 +86,8 @@ def vicreg_var_cov(tokens: np.ndarray, valid: np.ndarray) -> tuple[float, float]
 
 
 def total_loss(huber: float, var: float, cov: float, vicreg_beta: float = VICREG_BETA) -> float:
+    if not 0 <= vicreg_beta < math.inf:
+        raise ValueError(f"vicreg_beta must be non-negative and finite, got {vicreg_beta}")
     return huber + vicreg_beta * (var + cov)
 
 

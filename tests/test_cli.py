@@ -369,6 +369,20 @@ def test_loss_check_self_is_zero(pipeline, capsys):
     assert "variance" in out and "covariance" in out and "total" in out
 
 
+@pytest.mark.parametrize("vicreg_beta", ["nan", "inf", "-1"])
+def test_loss_check_rejects_a_bad_vicreg_beta(pipeline, capsys, vicreg_beta):
+    tmp_path, store, proc = pipeline
+    table = tmp_path / "vectors.txt"
+    _write_table(table, 4, ["building=yes", "highway=residential"])
+    dump = str(tmp_path / "batch.gjtb")
+    assert main(["encode", proc, "--embeddings", str(table), "--out", dump]) == 0
+    capsys.readouterr()
+    assert main(["loss-check", dump, dump, "--vicreg-beta", vicreg_beta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geotile: vicreg_beta must be non-negative and finite, got {float(vicreg_beta)}\n"
+
+
 def test_eval_prediction_mode(pipeline, capsys):
     tmp_path, store, proc = pipeline
     out_dir = str(tmp_path / "bridge")
@@ -429,6 +443,17 @@ def test_knn_command(tmp_path, capsys):
     assert payload["query"] == "q" and payload["metric"] == "l2"
     assert [n["id"] for n in payload["neighbors"]] == ["near", "far"]
     assert payload["neighbors"][0]["distance"] == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", ["-1", "0"])
+def test_knn_rejects_k_below_one(tmp_path, capsys, k):
+    path = tmp_path / "vecs.txt"
+    vectors = {name: np.array([float(i), 0.0]) for i, name in enumerate(("q", "a", "b"))}
+    tokens.save_embeddings(EmbeddingTable(dim=2, vectors=vectors), str(path))
+    assert main(["knn", "--vectors", str(path), "--query-id", "q", "--k", k]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"geotile: k must be at least 1, got {k}\n"
 
 
 def test_knn_default_k_is_the_library_default(tmp_path, capsys):

@@ -22,7 +22,7 @@ from geotile.geometry import (
     min_area_box,
     point_segment_distance,
 )
-from geotile.model import Geometry
+from geotile.model import Geometry, GeometryError
 
 
 # ---------------------------------------------------------------- oracles
@@ -428,6 +428,37 @@ def test_geometry_map_on_every_kind_at_both_depths():
     assert multi.map(shift) == Geometry.multipolygon([[shifted(ring), shifted(hole)], [shifted(hole)]])
     assert multi.map(shifted, depth=1) == multi.map(shift)
     assert multi.map(len, depth=1) == Geometry("multipolygon", ((4, 4), (4,)))
+
+
+_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+
+
+@pytest.mark.parametrize("build, where, message", [
+    (lambda: Geometry.point((0.5, True)), "[1]", "expected number, got bool"),
+    (lambda: Geometry.point((math.nan, 0.5)), "[0]", "number out of float range"),
+    (lambda: Geometry.point(np.array([0.5, 0.5])), "", "expected [x, y]"),
+    (lambda: Geometry.polyline([(0.0, 0.0), (math.inf, 1.0)]), "[1][0]", "number out of float range"),
+    (lambda: Geometry.polyline([(0.0, 0.0), (1.0, 1.0, 1.0)]), "[1]", "expected [x, y]"),
+    (lambda: Geometry.polyline([(0.0, 0.0)]), "", "polyline needs at least 2 points"),
+    (lambda: Geometry.polygon([]), "", "polygon needs at least one ring"),
+    (lambda: Geometry.polygon([_SQUARE, _SQUARE[:3]]), "[1]", "ring must be a closed list of at least 4 points"),
+    (lambda: Geometry.polygon([_SQUARE[:4]]), "[0]", "ring is not closed"),
+    (lambda: Geometry.multipolygon([]), "", "multipolygon needs at least one polygon"),
+    (lambda: Geometry.multipolygon([[_SQUARE], []]), "[1]", "polygon needs at least one ring"),
+    (lambda: Geometry.multipolygon([[_SQUARE], [_SQUARE, _SQUARE[:2] + [(1.0, -math.inf)] + _SQUARE[3:]]]),
+     "[1][1][2][1]", "number out of float range"),
+])
+def test_constructor_errors_name_the_place_below_coords(build, where, message):
+    with pytest.raises(GeometryError) as err:
+        build()
+    assert (err.value.where, err.value.message) == (where, message)
+    assert str(err.value) == f"coords{where}: {message}"
+
+
+def test_constructors_store_ints_as_floats():
+    line = Geometry.polyline([[0, 1], (2, 3.5)])
+    assert line.coords == ((0.0, 1.0), (2.0, 3.5))
+    assert all(type(v) is float for p in line.coords for v in p)
 
 
 def test_box_contains_its_input_points():

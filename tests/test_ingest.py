@@ -364,6 +364,39 @@ def test_untagged_member_consumed_by_stitch():
     assert [e.id for e in ents] == [9]
 
 
+# A hexagon, counter-clockwise; ring arcs are given as node id tuples.
+_HEXAGON = {1: (0.0, 0.0), 2: (2.0, 0.0), 3: (3.0, 1.0), 4: (2.0, 2.0), 5: (0.0, 2.0), 6: (-1.0, 1.0)}
+
+
+def _relation_of_arcs(arcs):
+    ways = [RawWay(i + 1, refs, (), tuple(_HEXAGON[r] for r in refs)) for i, refs in enumerate(arcs)]
+    rel = RawRelation(9, tuple(("way", w.id, "outer") for w in ways), (("type", "multipolygon"),))
+    return elements_to_entities(PbfData(nodes=[], ways=ways, relations=[rel]))
+
+
+# The last arc is taken first and the others join it; the first arc in list
+# order that meets either end joins, at the tail before the head and forward
+# before reversed.  Each case needs the join it is named after first.
+@pytest.mark.parametrize("arcs, ring", [
+    ([(3, 4, 5), (5, 6, 1), (1, 2, 3)], (1, 2, 3, 4, 5, 6, 1)),
+    ([(5, 4, 3), (5, 6, 1), (1, 2, 3)], (1, 2, 3, 4, 5, 6, 1)),
+    ([(5, 6, 1), (3, 4, 5), (1, 2, 3)], (5, 6, 1, 2, 3, 4, 5)),
+    ([(1, 6, 5), (3, 4, 5), (1, 2, 3)], (5, 6, 1, 2, 3, 4, 5)),
+    ([(5, 6), (3, 4, 5), (6, 1), (1, 2, 3)], (1, 2, 3, 4, 5, 6, 1)),
+], ids=["tail-forward", "tail-reversed", "head-forward", "head-reversed", "four-arcs"])
+def test_relation_arcs_join_in_a_pinned_order(arcs, ring):
+    (ent,) = _relation_of_arcs(arcs)
+    assert ent.geometry.coords == ((tuple(_HEXAGON[r] for r in ring),),)
+
+
+def test_relation_arc_that_never_closes_falls_back_to_its_ways():
+    ents = _relation_of_arcs([(1, 2, 3), (3, 4, 5), (5, 6, 1), (2, 4)])
+    assert [(e.id, e.kind, e.tags, e.geometry.kind) for e in ents] == [
+        (i, "way", (("type", "multipolygon"),), "polyline") for i in (1, 2, 3, 4)
+    ]
+    assert ents[3].geometry.coords == (_HEXAGON[2], _HEXAGON[4])
+
+
 def test_tagged_member_keeps_standalone_entity():
     ring = RawWay(1, (10, 11, 12, 10), (("building", "yes"),),
                   ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)))

@@ -102,6 +102,45 @@ def test_reads_hand_encoded_golden_bytes(tmp_path):
     assert data.ways[0].coords == ((n10.lon, n10.lat), (n11.lon, n11.lat))
 
 
+def _packed_copies_file(split):
+    """Dense nodes 1-3 and way 77 over them, tagged; each packed field named
+    in split is written as two copies, its first value and then the rest."""
+    def packed(fnum, name, items):
+        if name in split:
+            return _ld(fnum, items[0]) + _ld(fnum, b"".join(items[1:]))
+        return _ld(fnum, b"".join(items))
+
+    strings = b"".join(_ld(1, s) for s in (b"", b"highway", b"residential", b"name", b"Elm Street"))
+    dense = (
+        packed(1, "id", [_sv(1), _sv(1), _sv(1)])
+        + packed(8, "lat", [_sv(350000000), _sv(1000), _sv(1000)])
+        + packed(9, "lon", [_sv(-808000000), _sv(2000), _sv(2000)])
+    )
+    way = (
+        _varint_field(1, 77)
+        + packed(2, "keys", [_uv(1), _uv(3)])
+        + packed(3, "vals", [_uv(2), _uv(4)])
+        + packed(8, "refs", [_sv(1), _sv(1), _sv(1)])
+    )
+    return _header_blob() + _blob("OSMData", _ld(1, strings) + _ld(2, _ld(2, dense) + _ld(3, way)))
+
+
+@pytest.mark.parametrize("split", [("refs",), ("id", "lat", "lon"), ("keys", "vals")],
+                         ids=["way-refs", "dense-id-lat-lon", "way-keys-vals"])
+def test_packed_field_in_two_copies_reads_as_their_concatenation(tmp_path, split):
+    # Protobuf parsers must join the copies of a packed repeated field.
+    whole, parts = tmp_path / "whole.osm.pbf", tmp_path / "parts.osm.pbf"
+    whole.write_bytes(_packed_copies_file(()))
+    parts.write_bytes(_packed_copies_file(split))
+    data = read_pbf(str(parts))
+    assert [n.id for n in data.nodes] == [1, 2, 3]
+    assert [n.lat for n in data.nodes] == pytest.approx([35.0, 35.0001, 35.0002], abs=1e-9)
+    (way,) = data.ways
+    assert way.refs == (1, 2, 3)
+    assert way.tags == (("highway", "residential"), ("name", "Elm Street"))
+    assert data == read_pbf(str(whole))
+
+
 def test_negative_lat_lon_offsets_are_int64(tmp_path):
     # PrimitiveBlock.lat_offset / lon_offset are int64: a negative value is
     # the ten-byte varint of its 64-bit two's complement.

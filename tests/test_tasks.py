@@ -386,6 +386,7 @@ def test_read_labels_rejects_foreign_header(tmp_path):
     ("16_1_3,high", "label 'high' is not a number"),
     ("16_1_3,1,2", "label '1,2' is not a number"),
     ("16_1_2,4.0", "duplicate tile_id '16_1_2'"),
+    ("16_1_3,nan", "label 'nan' is not finite"),
 ])
 def test_read_labels_names_path_and_line(tmp_path, bad_line, reason):
     path = tmp_path / "labels.csv"

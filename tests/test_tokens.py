@@ -117,6 +117,7 @@ def test_embeddings_validation(tmp_path):
     (b"d=2\na=b\t1.0 2.0\nc=d\t1.0 zz\n", 3, "vector for 'c=d' has a value that is not a float"),
     (b"d=2\na=b\t1.0 inf\n", 2, "vector for 'a=b' is not finite"),
     (b"d=2\na=b\t1.0 2.0\nc=\xff\t1.0 2.0\n", 3, "invalid UTF-8 at byte 2"),
+    (b"d=2\na=1\t1.0 2.0\na=1\t3.0 4.0\n", 3, "duplicate tag 'a=1'"),
 ])
 def test_load_embeddings_names_path_and_line(tmp_path, text, line, reason):
     path = tmp_path / "vectors.txt"
