@@ -167,11 +167,11 @@ def _load_batch_with_ids(path: str) -> TokenBatch:
     sidecar = path + ".ids"
     try:
         with open(sidecar, "rb") as fh:
-            ids = tuple(line.strip() for line in tef.utf8_lines(fh, sidecar) if line.strip())
+            ids = tuple(line.strip() for line in tef.utf8_lines(fh, sidecar, tokens.TokenError) if line.strip())
     except FileNotFoundError:
         return batch
     if len(ids) != batch.size:
-        raise ValueError(f"{sidecar}: {len(ids)} ids for a batch of {batch.size} samples")
+        raise tokens.TokenError(f"{sidecar}: {len(ids)} ids for a batch of {batch.size} samples")
     batch.ids = ids
     return batch
 

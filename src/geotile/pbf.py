@@ -6,7 +6,9 @@ with dense nodes, ways and relations).  The file is read one blob at a
 time, so memory holds one blob plus the decoded elements.  Reading is
 two-pass: raw elements first, then node coordinates are resolved into ways;
 elements with unresolvable references are dropped and counted.  Malformed
-input raises PbfError naming the file and the byte offset of the failure.
+input raises PbfError naming the file and the byte offset of the failure; a
+fault inside a blob's block is named by the blob's offset in the file and
+the fault's offset in the block the blob decodes to.
 Header and blob sizes are held to the format's limits, and a compressed
 blob is inflated no further than its declared raw_size.
 
@@ -37,11 +39,19 @@ MEMBER_TYPES = ("node", "way", "relation")
 
 
 class PbfError(ValueError):
-    def __init__(self, message: str, offset: int | None = None):
-        if offset is not None:
+    """Malformed PBF input.  offset is the byte of the file at fault; for a
+    fault inside a blob's block, offset is the blob's first byte and
+    block_offset the faulty byte of the (inflated) block."""
+
+    def __init__(self, message: str, offset: int | None = None, block_offset: int | None = None):
+        self.reason = message
+        if block_offset is not None:
+            message = f"{message} (at byte {block_offset} of the block in the blob at byte {offset})"
+        elif offset is not None:
             message = f"{message} (at byte {offset})"
         super().__init__(message)
         self.offset = offset
+        self.block_offset = block_offset
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,21 @@ def _int64(n: int) -> int:
 
 
 def _fields(buf: bytes, base: int):
-    """Iterate (field_number, wire_type, value) over one message."""
+    """Iterate (field_number, wire_type, value, offset) over one message
+    that starts at byte base; offset is where the value starts."""
     i = 0
     n = len(buf)
     while i < n:
         key, i = _uvarint(buf, i, base)
         fnum, wt = key >> 3, key & 7
+        at = base + i
         if wt == 0:
             val, i = _uvarint(buf, i, base)
         elif wt == 2:
             ln, i = _uvarint(buf, i, base)
             if i + ln > n:
                 raise PbfError("truncated length-delimited field", base + i)
+            at = base + i
             val = buf[i : i + ln]
             i += ln
         elif wt == 5:
@@ -133,44 +146,44 @@ def _fields(buf: bytes, base: int):
             i += 8
         else:
             raise PbfError(f"unsupported wire type {wt}", base + i)
-        yield fnum, wt, val
+        yield fnum, wt, val, at
 
 
-def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes | list[bytes]]:
-    """Each (field number, wire type) of one message.
+def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes | list[tuple[int, bytes]]]:
+    """Each (field number, wire type) of one message that starts at byte base.
 
     A varint or fixed-size field keeps its last value, as protobuf
     prescribes for a field that is not repeated.  A length-delimited field
-    keeps the list of all its copies: a packed repeated field is their
-    concatenation, an embedded message their merge (the same bytes joined),
-    and a string the last.  A field read with the wrong wire type is a
-    different key, so a mistyped id or coordinate is simply absent.
+    keeps the list of all its copies as (offset, bytes): a packed repeated
+    field is their concatenation, an embedded message their merge, and a
+    string the last.  A field read with the wrong wire type is a different
+    key, so a mistyped id or coordinate is simply absent.
     """
     m: dict = {}
-    for fnum, wt, val in _fields(buf, base):
+    for fnum, wt, val, at in _fields(buf, base):
         if wt == 2:
-            m.setdefault((fnum, 2), []).append(val)
+            m.setdefault((fnum, 2), []).append((at, val))
         else:
             m[fnum, wt] = val
     return m
 
 
-def _varints(m: dict, fnum: int, base: int) -> list[int]:
-    """A packed varint field, every copy of it joined; empty when the message lacks it."""
-    buf = b"".join(m.get((fnum, 2), ()))
+def _varints(m: dict, fnum: int) -> list[int]:
+    """A packed varint field, its copies' values in turn; empty when the message lacks it."""
     out = []
-    i = 0
-    while i < len(buf):
-        v, i = _uvarint(buf, i, base)
-        out.append(v)
+    for at, buf in m.get((fnum, 2), ()):
+        i = 0
+        while i < len(buf):
+            v, i = _uvarint(buf, i, at)
+            out.append(v)
     return out
 
 
-def _delta_coded(m: dict, fnum: int, base: int) -> list[int]:
+def _delta_coded(m: dict, fnum: int) -> list[int]:
     """A packed sint64 field of deltas (ids, coordinates, member refs), summed back to values."""
     out = []
     acc = 0
-    for v in _varints(m, fnum, base):
+    for v in _varints(m, fnum):
         acc += _zigzag(v)
         out.append(acc)
     return out
@@ -195,15 +208,15 @@ def _string(table: list[str], i: int, base: int) -> str:
 
 def _tags(m: dict, table: list[str], base: int) -> tuple[tuple[str, str], ...]:
     """An element's tags from its packed keys (field 2) and vals (field 3)."""
-    keys, vals = _varints(m, 2, base), _varints(m, 3, base)
+    keys, vals = _varints(m, 2), _varints(m, 3)
     if len(keys) != len(vals):
         raise PbfError("keys/vals length mismatch", base)
     return tuple((_string(table, k, base), _string(table, v, base)) for k, v in zip(keys, vals))
 
 
 def _dense(m: dict, table: list[str], coord, base: int) -> list[RawNode]:
-    ids, lats, lons = (_delta_coded(m, fnum, base) for fnum in (1, 8, 9))
-    keys_vals = _varints(m, 10, base)
+    ids, lats, lons = (_delta_coded(m, fnum) for fnum in (1, 8, 9))
+    keys_vals = _varints(m, 10)
     if not (len(ids) == len(lats) == len(lons)):
         raise PbfError("dense node arrays disagree on length", base)
     # keys_vals runs key, val, key, val, ..., 0 for each node in turn; a
@@ -241,13 +254,13 @@ def _node(m: dict, table: list[str], coord, base: int) -> RawNode:
 def _way(m: dict, table: list[str], base: int) -> RawWay:
     if (1, 0) not in m:
         raise PbfError("way missing id", base)
-    return RawWay(m[1, 0], tuple(_delta_coded(m, 8, base)), _tags(m, table, base))
+    return RawWay(m[1, 0], tuple(_delta_coded(m, 8)), _tags(m, table, base))
 
 
 def _relation(m: dict, table: list[str], base: int) -> RawRelation:
     if (1, 0) not in m:
         raise PbfError("relation missing id", base)
-    roles, memids, types = _varints(m, 8, base), _delta_coded(m, 9, base), _varints(m, 10, base)
+    roles, memids, types = _varints(m, 8), _delta_coded(m, 9), _varints(m, 10)
     if not (len(roles) == len(memids) == len(types)):
         raise PbfError("relation member arrays disagree on length", base)
     members = []
@@ -258,37 +271,43 @@ def _relation(m: dict, table: list[str], base: int) -> RawRelation:
     return RawRelation(m[1, 0], tuple(members), _tags(m, table, base))
 
 
-def _parse_primitive_block(buf: bytes, base: int, out: PbfData) -> None:
-    m = _message(buf, base)
-    entries = _fields(b"".join(m.get((1, 2), ())), base)
-    table = [_text(val, "string table entry", base) for fnum, wt, val in entries if (fnum, wt) == (1, 2)]
+def _parse_primitive_block(buf: bytes, out: PbfData) -> None:
+    """Decode a PrimitiveBlock into out.  Offsets count from the block's
+    first byte, as in _parse_header_block; read_pbf names the blob."""
+    m = _message(buf, 0)
+    table = [
+        _text(val, "string table entry", at)
+        for table_at, entries in m.get((1, 2), ())
+        for fnum, wt, val, at in _fields(entries, table_at)
+        if (fnum, wt) == (1, 2)
+    ]
     granularity = m.get((17, 0), DEFAULT_GRANULARITY)
     offsets = {"lat": _int64(m.get((19, 0), 0)), "lon": _int64(m.get((20, 0), 0))}
 
     def coord(raw: int, axis: str) -> float:
         return COORD_SCALE * (offsets[axis] + granularity * raw)
 
-    for group in m.get((2, 2), ()):
-        for fnum, wt, val in _fields(group, base):
+    for group_at, group in m.get((2, 2), ()):
+        for fnum, wt, val, at in _fields(group, group_at):
             if wt != 2 or fnum not in (1, 2, 3, 4):
                 continue
-            element = _message(val, base)
+            element = _message(val, at)
             if fnum == 1:
-                out.nodes.append(_node(element, table, coord, base))
+                out.nodes.append(_node(element, table, coord, at))
             elif fnum == 2:
-                out.nodes.extend(_dense(element, table, coord, base))
+                out.nodes.extend(_dense(element, table, coord, at))
             elif fnum == 3:
-                out.ways.append(_way(element, table, base))
+                out.ways.append(_way(element, table, at))
             else:
-                out.relations.append(_relation(element, table, base))
+                out.relations.append(_relation(element, table, at))
 
 
-def _parse_header_block(buf: bytes, base: int) -> None:
-    for fnum, wt, val in _fields(buf, base):
+def _parse_header_block(buf: bytes) -> None:
+    for fnum, wt, val, at in _fields(buf, 0):
         if fnum == 4 and wt == 2:
-            feature = _text(val, "required feature", base)
+            feature = _text(val, "required feature", at)
             if feature not in _SUPPORTED_FEATURES:
-                raise PbfError(f"unsupported required feature {feature!r}", base)
+                raise PbfError(f"unsupported required feature {feature!r}", at)
 
 
 def _inflate(data: bytes, raw_size: int | None, base: int) -> bytes:
@@ -312,7 +331,7 @@ def _inflate(data: bytes, raw_size: int | None, base: int) -> bytes:
 def _decode_blob(buf: bytes, base: int) -> bytes:
     # raw and zlib_data are a oneof: whichever comes last wins.
     raw = compressed = raw_size = None
-    for fnum, wt, val in _fields(buf, base):
+    for fnum, wt, val, _ in _fields(buf, base):
         if fnum == 1 and wt == 2:
             raw, compressed = val, None
         elif fnum == 2 and wt == 0:
@@ -353,7 +372,7 @@ def read_pbf(path: str) -> PbfData:
                 m = _message(header, header_start)
                 if (1, 2) not in m or (3, 0) not in m:
                     raise PbfError("blob header missing type or datasize", pos)
-                blob_type, datasize = _text(m[1, 2][-1], "blob type", header_start), m[3, 0]
+                blob_type, datasize = _text(m[1, 2][-1][1], "blob type", header_start), m[3, 0]
                 if datasize > MAX_BLOB_SIZE:
                     raise PbfError(f"blob of {datasize} bytes exceeds {MAX_BLOB_SIZE}", pos)
                 blob_start = header_start + header_len
@@ -361,11 +380,14 @@ def read_pbf(path: str) -> PbfData:
                 if len(blob) < datasize:
                     raise PbfError("truncated blob", blob_start)
                 block = _decode_blob(blob, blob_start)
-                if blob_type == "OSMHeader":
-                    _parse_header_block(block, blob_start)
-                    saw_header = True
-                elif blob_type == "OSMData":
-                    _parse_primitive_block(block, blob_start, out)
+                try:
+                    if blob_type == "OSMHeader":
+                        _parse_header_block(block)
+                        saw_header = True
+                    elif blob_type == "OSMData":
+                        _parse_primitive_block(block, out)
+                except PbfError as exc:
+                    raise PbfError(exc.reason, blob_start, exc.offset) from None
                 # Unknown blob types are skipped, as the format prescribes.
                 pos = blob_start + datasize
     except PbfError as exc:

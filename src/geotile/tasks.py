@@ -28,6 +28,10 @@ MPH_TO_KMH = 1.6  # deliberate round factor, not the exact 1.609
 _VALUE_RE = re.compile(r"^\s*(\d+(?:\.\d+)?)\s*(mph)?\s*$", re.IGNORECASE)
 
 
+class TaskError(ValueError):
+    """A malformed task JSON or value CSV."""
+
+
 @dataclass(frozen=True)
 class TagPattern:
     """Matches one tag; '*' wildcards either the key or the value."""
@@ -154,7 +158,7 @@ def load_task(source: str) -> TaskSpec:
     """Load a task from a bundled name or a JSON file path.
 
     Every way the JSON can fail, a value of the wrong kind included, raises
-    ValueError starting with the source.
+    TaskError starting with the source.
     """
     if source in BUNDLED_TASKS:
         raw = resources.files("geotile").joinpath(f"taskconfigs/{source}.json").read_bytes()
@@ -164,7 +168,7 @@ def load_task(source: str) -> TaskSpec:
     try:
         return _task_from_json(json.loads(raw.decode("utf-8")))
     except (ValueError, OverflowError) as exc:  # float() overflows on a huge JSON integer
-        raise ValueError(f"{source}: {exc}") from None
+        raise TaskError(f"{source}: {exc}") from None
 
 
 # ------------------------------------------------------------------ labels
@@ -330,32 +334,32 @@ def read_value_csv(path: str, header: str) -> dict[tuple[str, ...], float]:
     """Map each line's leading columns, a unique key, to its last column as a float.
 
     A bad header, short line, non-number, NaN or infinite value, repeated key
-    or bytes that are not UTF-8 raise ValueError at ``path:line``.
+    or bytes that are not UTF-8 raise TaskError at ``path:line``.
     """
     from .tef import utf8_lines
 
     names = header.split(",")
     out: dict[tuple[str, ...], float] = {}
     with open(path, "rb") as fh:
-        lines = utf8_lines(fh, path)
+        lines = utf8_lines(fh, path, TaskError)
         got = next(lines, "").strip()
         if got != header:
-            raise ValueError(f"{path}:1: expected {header!r} header, got {got!r}")
+            raise TaskError(f"{path}:1: expected {header!r} header, got {got!r}")
         for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             *key, value = fields = line.rstrip("\n").split(",", len(names) - 1)
             if len(fields) != len(names):
-                raise ValueError(f"{path}:{lineno}: expected {header!r} fields, got {line.strip()!r}")
+                raise TaskError(f"{path}:{lineno}: expected {header!r} fields, got {line.strip()!r}")
             try:
                 number = float(value)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: {names[-1]} {value!r} is not a number") from None
+                raise TaskError(f"{path}:{lineno}: {names[-1]} {value!r} is not a number") from None
             if not math.isfinite(number):
-                raise ValueError(f"{path}:{lineno}: {names[-1]} {value!r} is not finite")
+                raise TaskError(f"{path}:{lineno}: {names[-1]} {value!r} is not finite")
             key = tuple(key)
             if key in out:
-                raise ValueError(f"{path}:{lineno}: duplicate {','.join(names[:-1])} {','.join(key)!r}")
+                raise TaskError(f"{path}:{lineno}: duplicate {','.join(names[:-1])} {','.join(key)!r}")
             out[key] = number
     return out
 

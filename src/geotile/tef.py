@@ -10,7 +10,10 @@ A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
 gzipped TEF lines of one 4x4 block of the tile grid (at most 16 tiles), plus
 an ``index.json`` mapping tile ids to file names.  Writing an index deletes
 the group files beside it that it does not name.  Gzip members are written
-with a zeroed mtime so identical content produces identical bytes.
+with a zeroed mtime so identical content produces identical bytes.  They are
+deflated at STORE_GZIP_LEVEL, zlib's default level 6, not gzip's level 9:
+on the benchmark corpora level 9 took 1.8 to 3.5 times as long and saved at
+most 1.5% of the bytes (BENCH_gzip.json).
 
 Numbers must be finite: NaN, Infinity and literals that overflow a float are
 rejected like any other schema violation.
@@ -45,6 +48,8 @@ from .model import (
 GROUP_SPAN = 4  # tiles per group file along each axis
 
 INDEX_NAME = "index.json"
+
+STORE_GZIP_LEVEL = 6  # deflate level of every group file
 
 _KINDS = get_args(GeometryKind)
 
@@ -136,8 +141,8 @@ def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
         if (
             not isinstance(item, list)
             or len(item) != 3
-            or not isinstance(item[0], int)
-            or not isinstance(item[1], int)
+            or type(item[0]) is not int  # not isinstance: true and false are ints too
+            or type(item[1]) is not int
             or item[2] not in (EDGE_BOUNDARY, EDGE_VISIBLE)
         ):
             raise _fail(f"{path}.edges[{i}]", 'expected [i, j, "bnd"|"vis"]', lineno)
@@ -150,7 +155,7 @@ def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
 def _entity(obj, path: str, lineno) -> Entity:
     if not isinstance(obj, dict):
         raise _fail(path, "expected object", lineno)
-    if not isinstance(obj.get("id"), int):
+    if type(obj.get("id")) is not int:
         raise _fail(path + ".id", "expected integer id", lineno)
     if obj.get("kind") not in ("node", "way", "relation"):
         raise _fail(path + ".kind", f"unknown kind {obj.get('kind')!r}", lineno)
@@ -234,20 +239,22 @@ def atomic_write_bytes(path: str, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def utf8_lines(fh: Iterable[bytes], path: str) -> Iterator[str]:
-    """The lines of a binary file as text; one that is not UTF-8 raises ValueError at ``path:line``."""
+def utf8_lines(fh: Iterable[bytes], path: str, error: type[ValueError]) -> Iterator[str]:
+    """The lines of a binary file as text; one that is not UTF-8 raises the reader's error at ``path:line``."""
     for lineno, raw in enumerate(fh, start=1):
         try:
             yield raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}") from None
+            raise error(f"{path}:{lineno}: invalid UTF-8 at byte {exc.start}") from None
 
 
 def _gzip_bytes(data: bytes) -> bytes:
     import io
 
     buf = io.BytesIO()
-    with gzip.GzipFile(fileobj=buf, mode="wb", filename="", mtime=0) as gz:
+    # GzipFile, not gzip.compress: 3.11's gzip.compress writes another OS
+    # byte in the header, so the store bytes would depend on Python's version.
+    with gzip.GzipFile(fileobj=buf, mode="wb", compresslevel=STORE_GZIP_LEVEL, filename="", mtime=0) as gz:
         gz.write(data)
     return buf.getvalue()
 

@@ -27,6 +27,10 @@ BATCH_MAGIC = b"GJTB"
 BATCH_VERSION = 1
 
 
+class TokenError(ValueError):
+    """A malformed embedding table, token-batch dump or ``.ids`` sidecar."""
+
+
 @dataclass(frozen=True)
 class TagVocab:
     """Ordered canonical key=value strings with a reverse index."""
@@ -80,33 +84,33 @@ def load_embeddings(path: str) -> EmbeddingTable:
     """Text table: header ``d=<int>``, then ``key=value<TAB>f1 f2 ... fd``.
 
     A bad header or row, a repeated tag, or bytes that are not UTF-8, raise
-    ValueError at ``path:line``.
+    TokenError at ``path:line``.
     """
     from .tef import utf8_lines
 
     vectors: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
-        lines = utf8_lines(fh, path)
+        lines = utf8_lines(fh, path, TokenError)
         header = next(lines, "").strip()
         dim = int(header[2:]) if header.startswith("d=") and header[2:].isdecimal() else 0
         if dim < 1:
-            raise ValueError(f"{path}:1: expected 'd=<int>' header with d >= 1, got {header!r}")
+            raise TokenError(f"{path}:1: expected 'd=<int>' header with d >= 1, got {header!r}")
         for lineno, line in enumerate(lines, start=2):
             if not line.strip():
                 continue
             if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: missing tab separator")
+                raise TokenError(f"{path}:{lineno}: missing tab separator")
             tag, values = line.rstrip("\n").split("\t", 1)
             if tag in vectors:
-                raise ValueError(f"{path}:{lineno}: duplicate tag {tag!r}")
+                raise TokenError(f"{path}:{lineno}: duplicate tag {tag!r}")
             try:
                 vec = np.array([float(x) for x in values.split()], dtype=np.float64)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: vector for {tag!r} has a value that is not a float") from None
+                raise TokenError(f"{path}:{lineno}: vector for {tag!r} has a value that is not a float") from None
             if vec.shape != (dim,):
-                raise ValueError(f"{path}:{lineno}: expected {dim} floats, got {vec.shape[0]}")
+                raise TokenError(f"{path}:{lineno}: expected {dim} floats, got {vec.shape[0]}")
             if not np.isfinite(vec).all():
-                raise ValueError(f"{path}:{lineno}: vector for {tag!r} is not finite")
+                raise TokenError(f"{path}:{lineno}: vector for {tag!r} is not finite")
             vectors[tag] = vec
     return EmbeddingTable(dim=dim, vectors=vectors)
 
@@ -274,19 +278,20 @@ def dump_token_batch(batch: TokenBatch, path: str) -> None:
 
 
 def load_token_batch(path: str) -> TokenBatch:
+    """Read a dump_token_batch file; a malformed dump raises TokenError naming the file."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != BATCH_MAGIC:
-        raise ValueError(f"{path}: not a token-batch dump (bad magic)")
+        raise TokenError(f"{path}: not a token-batch dump (bad magic)")
     if len(blob) < 20:
-        raise ValueError(f"{path}: truncated header, {len(blob)} of 20 bytes")
+        raise TokenError(f"{path}: truncated header, {len(blob)} of 20 bytes")
     version, n, max_len, d = struct.unpack_from("<IIII", blob, 4)
     if version != BATCH_VERSION:
-        raise ValueError(f"{path}: unsupported version {version}")
+        raise TokenError(f"{path}: unsupported version {version}")
     shapes = [(n, max_len), (n, max_len, 8), (n, max_len, d), (n,)]
     expected = 20 + 4 * sum(math.prod(shape) for shape in shapes)
     if len(blob) != expected:
-        raise ValueError(f"{path}: expected {expected} bytes, found {len(blob)}")
+        raise TokenError(f"{path}: expected {expected} bytes, found {len(blob)}")
     offset = 20
     arrays = []
     for shape in shapes:
@@ -298,12 +303,12 @@ def load_token_batch(path: str) -> TokenBatch:
     bad_len = ~((valid_len >= 0) & (valid_len <= max_len) & (valid_len == np.floor(valid_len)))
     if bad_len.any():
         i = int(np.argmax(bad_len))
-        raise ValueError(f"{path}: sample {i}: valid_len {valid_len[i]} is not an integer in [0, {max_len}]")
+        raise TokenError(f"{path}: sample {i}: valid_len {valid_len[i]} is not an integer in [0, {max_len}]")
     # Compared code by code: np.isin warned "invalid value encountered in cast" on a corrupted dump.
     bad_code = (modality != MODALITY_PAD) & (modality != MODALITY_ENTITY) & (modality != MODALITY_IMG)
     if bad_code.any():
         i, j = np.argwhere(bad_code)[0]
-        raise ValueError(
+        raise TokenError(
             f"{path}: sample {i}, slot {j}: modality code {modality[i, j]} is not PAD, ENTITY or IMG"
         )
     pad = np.arange(max_len)[None, :] >= valid_len[:, None]
@@ -311,7 +316,7 @@ def load_token_batch(path: str) -> TokenBatch:
     bad_pad = pad & dirty
     if bad_pad.any():
         i, j = np.argwhere(bad_pad)[0]
-        raise ValueError(
+        raise TokenError(
             f"{path}: sample {i}, slot {j}: PAD slot at or beyond valid_len {int(valid_len[i])} is not all-zero"
         )
     return TokenBatch(

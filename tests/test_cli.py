@@ -11,7 +11,7 @@ import pytest
 
 import geotile
 from conftest import write_grid_pbf
-from geotile import evaluation, geo, process, tasks, tef, tokens, training
+from geotile import cli, evaluation, geo, process, tasks, tef, tokens, training
 from geotile.cli import build_parser, main
 from geotile.tokens import EmbeddingTable
 
@@ -290,11 +290,15 @@ def test_ids_sidecar_must_match_its_batch(pipeline, capsys):
         fh.writelines(lines[:3])
     assert main(["mask-plan", dump]) == 1
     assert capsys.readouterr().err == f"geotile: {sidecar}: 3 ids for a batch of 4 samples\n"
+    with pytest.raises(tokens.TokenError, match="3 ids for a batch"):
+        cli._load_batch_with_ids(dump)
 
     with open(sidecar, "wb") as fh:
         fh.writelines(lines[:2] + [b"16_\xff\n"] + lines[3:])
     assert main(["mask-plan", dump, "--stats"]) == 1
     assert capsys.readouterr().err == f"geotile: {sidecar}:3: invalid UTF-8 at byte 3\n"
+    with pytest.raises(tokens.TokenError, match="invalid UTF-8"):
+        cli._load_batch_with_ids(dump)
 
     os.remove(sidecar)
     assert main(["mask-plan", dump]) == 0

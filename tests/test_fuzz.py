@@ -63,10 +63,10 @@ def _in_data_block(mutate):
     def mutate_block(rng: random.Random, data: bytes) -> bytes:
         # The header blob comes first, then the one zlib data blob write_pbf makes.
         (header_len,) = struct.unpack(">I", data[:4])
-        header_blob_end = 4 + header_len + dict((f, v) for f, _, v in pbf._fields(data[4 : 4 + header_len], 0))[3]
+        header_blob_end = 4 + header_len + dict((f, v) for f, _, v, _ in pbf._fields(data[4 : 4 + header_len], 0))[3]
         (data_header_len,) = struct.unpack(">I", data[header_blob_end : header_blob_end + 4])
         blob = data[header_blob_end + 4 + data_header_len :]
-        block = zlib.decompress(dict((f, v) for f, _, v in pbf._fields(blob, 0))[3])
+        block = zlib.decompress(dict((f, v) for f, _, v, _ in pbf._fields(blob, 0))[3])
         raw_blob = pbf._ld(1, mutate(rng, block))
         header = pbf._ld(1, b"OSMData") + pbf._ev(3, len(raw_blob))
         return data[:header_blob_end] + struct.pack(">I", len(header)) + header + raw_blob
@@ -112,10 +112,10 @@ FORMATS = {
     "group": (tef.read_group_file, tef.TefError, MUTATORS),
     "tef-lines": (tef.read_group_file, tef.TefError, tuple(map(_regzip, MUTATORS))),
     "index": (lambda path: tef.read_store_index(os.path.dirname(path)), tef.TefError, MUTATORS),
-    "vectors": (tokens.load_embeddings, ValueError, MUTATORS),
-    "labels": (tasks.read_labels, ValueError, MUTATORS),
-    "gjtb": (tokens.load_token_batch, ValueError, MUTATORS),
-    "task": (tasks.load_task, ValueError, MUTATORS),
+    "vectors": (tokens.load_embeddings, tokens.TokenError, MUTATORS),
+    "labels": (tasks.read_labels, tasks.TaskError, MUTATORS),
+    "gjtb": (tokens.load_token_batch, tokens.TokenError, MUTATORS),
+    "task": (tasks.load_task, tasks.TaskError, MUTATORS),
 }
 
 

@@ -63,7 +63,7 @@ def _header_blob():
     return _blob("OSMHeader", block)
 
 
-def _golden_data_blob():
+def _golden_block():
     # String table: index 0 must be the empty string.
     strings = [b"", b"highway", b"residential", b"name", b"Elm Street"]
     st = b"".join(_ld(1, s) for s in strings)
@@ -78,8 +78,11 @@ def _golden_data_blob():
     # A way referencing both nodes.
     way = _varint_field(1, 77) + _ld(8, _sv(10) + _sv(1))
     group += _ld(3, way)
-    block = _ld(1, st) + _ld(2, group)
-    return _blob("OSMData", block)
+    return _ld(1, st) + _ld(2, group)
+
+
+def _golden_data_blob():
+    return _blob("OSMData", _golden_block())
 
 
 def test_reads_hand_encoded_golden_bytes(tmp_path):
@@ -426,16 +429,19 @@ def test_invalid_utf8_in_string_table_is_a_pbf_error(tmp_path):
     with pytest.raises(PbfError, match="string table entry is not valid UTF-8") as err:
         read_pbf(str(path))
     assert err.value.offset == len(header) + 4 + header_len  # the data blob
+    assert err.value.block_offset == _golden_block().index(b"Elm Street")
 
 
 def test_invalid_utf8_in_required_feature_is_a_pbf_error(tmp_path):
     path = tmp_path / "feature.osm.pbf"
-    blob = _blob("OSMHeader", _ld(4, b"OsmSchema-V0.6") + _ld(4, b"Dense\xc3Nodes"))
+    block = _ld(4, b"OsmSchema-V0.6") + _ld(4, b"Dense\xc3Nodes")
+    blob = _blob("OSMHeader", block)
     path.write_bytes(blob)
     (header_len,) = struct.unpack(">I", blob[:4])
     with pytest.raises(PbfError, match="required feature is not valid UTF-8") as err:
         read_pbf(str(path))
     assert err.value.offset == 4 + header_len
+    assert err.value.block_offset == block.index(b"Dense")
 
 
 def test_invalid_utf8_in_blob_type_is_a_pbf_error(tmp_path):
@@ -488,6 +494,39 @@ def test_ids_and_coordinates_are_read_only_as_varints(tmp_path, group, message):
         read_pbf(str(path))
     assert str(err.value).startswith(f"{path}: ")
     assert err.value.offset == len(header) + 4 + header_len
+
+
+_REFS = _sv(10) + _sv(1) + b"\x80"  # a packed varint cut short
+_NODE_FIXED32 = _NODE_ID + _NODE_LAT + _NODE_LON + _uv((12 << 3) | 5) + b"\x01\x02"  # a fixed32 cut short
+_RELATION = _varint_field(1, 5) + _ld(8, _uv(0)) + _ld(9, _sv(10)) + _ld(10, _uv(7))  # member type 7
+
+
+def _offset_cases():
+    """(block, message, block offset of the fault) for faults in a group after the golden block's."""
+    way = _varint_field(1, 78) + _ld(8, _sv(10)) + _ld(8, _REFS)  # the refs in two copies
+    cases = []
+    for group, marker, message, past in (
+        (_ld(3, way), _REFS, "truncated varint", len(_REFS)),
+        (_ld(1, _NODE_FIXED32), b"\x01\x02", "truncated fixed32 field", 0),
+        (_ld(4, _RELATION), _RELATION, "unknown member type 7", 0),
+    ):
+        block = _golden_block() + _ld(2, group)
+        cases.append((block, message, block.rindex(marker) + past))
+    return cases
+
+
+@pytest.mark.parametrize("block,message,at", _offset_cases(),
+                         ids=["way-refs", "node-fixed32", "relation"])
+def test_fault_in_a_block_reports_its_offset_in_the_inflated_block(tmp_path, block, message, at):
+    header, data = _header_blob(), _zlib_blob("OSMData", zlib.compress(block), len(block))
+    path = tmp_path / "fault.osm.pbf"
+    path.write_bytes(header + data)
+    (header_len,) = struct.unpack(">I", data[:4])
+    blob_start = len(header) + 4 + header_len
+    with pytest.raises(PbfError) as err:
+        read_pbf(str(path))
+    assert (err.value.offset, err.value.block_offset) == (blob_start, at)
+    assert str(err.value) == f"{path}: {message} (at byte {at} of the block in the blob at byte {blob_start})"
 
 
 def test_garbage_header_length_fails_fast(tmp_path):

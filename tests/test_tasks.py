@@ -14,6 +14,7 @@ from geotile.tasks import (
     LabelDiagnostics,
     MaskRule,
     TagPattern,
+    TaskError,
     TaskSpec,
     apply_mask,
     compute_label,
@@ -110,14 +111,14 @@ def test_load_task_names_file_and_missing_key(tmp_path, key):
     del obj[key]
     path = tmp_path / "cams.json"
     path.write_text(json.dumps(obj))
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*'{key}'"):
+    with pytest.raises(TaskError, match=f"{re.escape(str(path))}: .*'{key}'"):
         load_task(str(path))
 
 
 def test_load_task_rejects_a_json_list(tmp_path):
     path = tmp_path / "list.json"
     path.write_text(json.dumps(["name", "counted", "label", "clamp"]))
-    with pytest.raises(ValueError, match="JSON object"):
+    with pytest.raises(TaskError, match="JSON object"):
         load_task(str(path))
 
 
@@ -157,7 +158,7 @@ _CAMS = '"name": "cams", "counted": ["highway=speed_camera"], "label": "count"'
 def test_load_task_errors_name_the_file(tmp_path, text, message):
     path = tmp_path / "bad.json"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    with pytest.raises(ValueError, match=re.escape(message)) as err:
+    with pytest.raises(TaskError, match=re.escape(message)) as err:
         load_task(str(path))
     assert str(err.value).startswith(f"{path}: ")
 
@@ -377,7 +378,7 @@ def test_labels_csv_roundtrip(tmp_path):
 def test_read_labels_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,value\nx,1\n")
-    with pytest.raises(ValueError, match="header"):
+    with pytest.raises(TaskError, match="header"):
         read_labels(str(path))
 
 
@@ -391,7 +392,7 @@ def test_read_labels_rejects_foreign_header(tmp_path):
 def test_read_labels_names_path_and_line(tmp_path, bad_line, reason):
     path = tmp_path / "labels.csv"
     path.write_text(f"tile_id,label\n16_1_2,1.0\n\n{bad_line}\n")
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(TaskError) as err:
         read_labels(str(path))
     assert str(err.value) == f"{path}:4: {reason}"
 
@@ -399,7 +400,7 @@ def test_read_labels_names_path_and_line(tmp_path, bad_line, reason):
 def test_read_labels_names_the_line_that_is_not_utf8(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_bytes(b"tile_id,label\n16_1_2,1.0\n16_1_\xff,2.0\n")
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(TaskError) as err:
         read_labels(str(path))
     assert str(err.value) == f"{path}:3: invalid UTF-8 at byte 5"
 
@@ -408,5 +409,5 @@ def test_read_labels_takes_the_value_column_name(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("tile_id,prediction\n16_1_2,0.5\n")
     assert read_labels(str(path), "prediction") == {"16_1_2": 0.5}
-    with pytest.raises(ValueError, match=f"{re.escape(str(path))}:1: expected 'tile_id,label' header"):
+    with pytest.raises(TaskError, match=f"{re.escape(str(path))}:1: expected 'tile_id,label' header"):
         read_labels(str(path))

@@ -1,12 +1,15 @@
 """Tile exchange format: canonical bytes, parse errors, and store layout."""
 
 import gzip
+import hashlib
 import json
 import os
+import zlib
 
 import numpy as np
 import pytest
 
+from geotile import tef
 from geotile.geo import TileId
 from geotile.model import Entity, Geometry, MinBox, Tile, VisibilityGraph
 from geotile.tef import (
@@ -151,6 +154,10 @@ _MULTI = (
     ('"tags":[]', '"tags":[],"note":NaN', "tile: non-finite number NaN (line 3)"),
     ('[1,2,"bnd"]', '[1,9,"bnd"]', "tile.entities[0].visgraph.edges[1]: vertex index out of range (line 3)"),
     ('[1,2,"bnd"]', '[1,2.0,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
+    ('[1,2,"bnd"]', '[false,true,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
+    ('[0,1,"bnd"]', '[0,true,"bnd"]', 'tile.entities[0].visgraph.edges[0]: expected [i, j, "bnd"|"vis"] (line 3)'),
+    ('{"id":1,"kind"', '{"id":true,"kind"', "tile.entities[0].id: expected integer id (line 3)"),
+    ('{"id":1,"kind"', '{"id":1.0,"kind"', "tile.entities[0].id: expected integer id (line 3)"),
 ])
 def test_parse_error_names_the_field_path(old, new, message):
     assert tile_from_json(_MULTI).entities[0].minbox.corners[2] == (1.0, 1.0)
@@ -246,16 +253,59 @@ def test_empty_store_has_empty_index(tmp_path):
     assert read_store(str(root)) == []
 
 
+def _scattered_tile(x, y, n_entities):
+    """A tile of n points spread by the golden ratio, enough text for deflate levels to differ."""
+    entities = tuple(
+        Entity(id=i + 1, kind="node", tags=(("k", f"v{i % 5}"),),
+               geometry=Geometry.point(((i * 0.6180339887) % 1, (i * 0.41421356) % 1)))
+        for i in range(n_entities)
+    )
+    return Tile(id=TileId(16, x, y), origin=(0.0, 0.0), extent_m=300.0, entities=entities)
+
+
+def _codec_store(root):
+    """A fixed two-group store: the canonical tile and three scattered ones, then one small tile."""
+    tiles = [_fixture_tile(), *(_scattered_tile(18053 + i, 25957, 40) for i in range(3)), _tile_at(18056, 25957)]
+    write_store(tiles, str(root))
+    return {name: (root / name).read_bytes() for name in ("16_4513_6489.tefgz", "16_4514_6489.tefgz")}
+
+
+# SHA-256 of each group file's inflated text.  The deflate bytes are not
+# pinned: another zlib build may deflate the same text differently.
+STORE_TEXT_SHA256 = {
+    "16_4513_6489.tefgz": "e15d14d5286e4e1fe12be8194d820b788c0f3eece12ce69c2030d2e59cd904d9",
+    "16_4514_6489.tefgz": "cb2d01ca3dac9cd1824b06848abf5b76d25e01cca067a71a779d8cebc42b40fb",
+}
+
+
+def test_store_text_is_pinned(tmp_path):
+    files = _codec_store(tmp_path)
+    assert {name: hashlib.sha256(gzip.decompress(raw)).hexdigest() for name, raw in files.items()} == STORE_TEXT_SHA256
+
+
 def test_gzip_members_carry_no_timestamp(tmp_path):
-    root = tmp_path / "store"
-    write_store([_tile_at(18052, 25957)], str(root))
-    raw = (root / "16_4513_6489.tefgz").read_bytes()
-    # gzip header: 4-byte MTIME field at offset 4 must be zero for
-    # reproducible archives.
-    assert raw[4:8] == b"\x00\x00\x00\x00"
-    with gzip.open(root / "16_4513_6489.tefgz", "rt", encoding="utf-8") as fh:
+    for raw in _codec_store(tmp_path).values():
+        # Magic, deflate, no flags (so no file name), then the 4-byte MTIME
+        # field, which must be zero for reproducible stores.
+        assert raw[:4] == b"\x1f\x8b\x08\x00"
+        assert raw[4:8] == b"\x00\x00\x00\x00"
+    with gzip.open(tmp_path / "16_4513_6489.tefgz", "rt", encoding="utf-8") as fh:
         payload = fh.read()
     assert json.loads(payload.splitlines()[0])["id"] == "16_18052_25957"
+
+
+def test_group_files_are_deflated_at_the_store_level(tmp_path):
+    def deflate(text, level):
+        deflater = zlib.compressobj(level, zlib.DEFLATED, -15)
+        return deflater.compress(text) + deflater.flush()
+
+    files = _codec_store(tmp_path)
+    for raw in files.values():
+        # The body sits between the 10-byte header and the CRC32 and size.
+        assert raw[10:-8] == deflate(gzip.decompress(raw), tef.STORE_GZIP_LEVEL)
+    # The larger group tells the level apart from its neighbours and from gzip's 9.
+    text = gzip.decompress(files["16_4513_6489.tefgz"])
+    assert len({deflate(text, level) for level in (5, 6, 7, 9)}) == 4
 
 
 def _group_file(tmp_path):

@@ -18,6 +18,7 @@ from geotile.tokens import (
     EmbedDiagnostics,
     EmbeddingTable,
     TokenBatch,
+    TokenError,
     assemble_token_batch,
     dump_token_batch,
     entity_embed_mean,
@@ -103,7 +104,7 @@ def test_embeddings_file_roundtrip(tmp_path):
 def test_embeddings_validation(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("dim 4\n")
-    with pytest.raises(ValueError, match="d="):
+    with pytest.raises(TokenError, match="d="):
         load_embeddings(str(bad))
     with pytest.raises(ValueError, match="shape"):
         EmbeddingTable(dim=3, vectors={"a=b": np.zeros(4)})
@@ -122,7 +123,7 @@ def test_embeddings_validation(tmp_path):
 def test_load_embeddings_names_path_and_line(tmp_path, text, line, reason):
     path = tmp_path / "vectors.txt"
     path.write_bytes(text)
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(TokenError) as err:
         load_embeddings(str(path))
     assert str(err.value) == f"{path}:{line}: {reason}"
 
@@ -314,11 +315,11 @@ def test_dump_header_and_corruption(tmp_path):
     assert blob[:4] == b"GJTB"
     truncated = tmp_path / "cut.gjtb"
     truncated.write_bytes(blob[:-4])
-    with pytest.raises(ValueError, match="bytes"):
+    with pytest.raises(TokenError, match="bytes"):
         load_token_batch(str(truncated))
     alien = tmp_path / "alien.gjtb"
     alien.write_bytes(b"NOPE" + blob[4:])
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(TokenError, match="magic"):
         load_token_batch(str(alien))
 
 
@@ -330,7 +331,7 @@ def test_truncated_header_raises_value_error_naming_file_and_size(tmp_path):
     cut = tmp_path / "cut.gjtb"
     for size in range(21):
         cut.write_bytes(blob[:size])
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(TokenError) as info:
             load_token_batch(str(cut))
         message = str(info.value)
         assert message.startswith(f"{cut}: ")
@@ -369,7 +370,7 @@ def _patched_dump(tmp_path, array, index, value):
         "pad-modality", "pad-box", "pad-payload"])
 def test_load_rejects_inconsistent_dump(tmp_path, array, index, value, message):
     path = _patched_dump(tmp_path, array, index, value)
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(TokenError, match=message) as info:
         load_token_batch(str(path))
     assert str(info.value).startswith(f"{path}: ")
 
