@@ -3,9 +3,7 @@
 Every command is deterministic given its flags: one global --seed feeds
 per-stage derived seeds, and all diagnostics go to stderr.  Each output file
 is written to a temp file, then renamed, so an interrupted run leaves no
-partial files.  process writes its store's index.json last, after every
-group file, so a failed run leaves no index; every group file in --out that
-the new index does not name is deleted just before it.
+partial files; a store is replaced by the rule in tef's docstring.
 Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
 command logs its name, exit code and wall time.
 
@@ -17,7 +15,6 @@ synth-task without the geometry, token, masking and training modules.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import logging
@@ -61,14 +58,14 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _process_group(store: str, out: str, eps_m: float, seed: int, lo: int, hi: int, name: str):
+def _process_group(store: str, out: str, eps_m: float, seed: int, lo: int, hi: int, name: str, keys: set[str]):
     """Read, process, filter and write one group file; returns its index entries and drop count."""
     # Imported here as well as in cmd_process: pool workers call this directly.
     from . import process
 
     worked = [
         process.process_tile(t, eps_m=eps_m, seed=seed)
-        for t in tef.read_group_file(os.path.join(store, name))
+        for t in tef.read_group_file(os.path.join(store, name), keys)
     ]
     kept, dropped = ingest.filter_outliers(worked, lo, hi)
     return (tef.write_group(kept, out) if kept else {}), dropped
@@ -81,21 +78,16 @@ def cmd_process(args) -> int:
     eps_m = process.DEFAULT_EPS_M if args.eps_m is None else args.eps_m
     if math.isnan(eps_m):
         raise ValueError(f"--eps-m must be a number, got {eps_m}")
-    names = sorted(set(tef.read_store_index(args.store).values()))
-    # No index until every group is written, so a failed run leaves no store
-    # that mixes an earlier run's group files with this one's; write_index
-    # then deletes every group file the new index does not name.
-    os.makedirs(args.out, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(args.out, tef.INDEX_NAME))
+    groups = tef.store_groups(args.store)
+    tef.start_store(args.out)
     job = functools.partial(_process_group, args.store, args.out, eps_m, seed, args.min_entities, args.max_entities)
-    if args.jobs <= 1 or len(names) <= 1:
-        results = list(map(job, names))
+    if args.jobs <= 1 or len(groups) <= 1:
+        results = list(map(job, groups, groups.values()))
     else:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(job, names))
+            results = list(pool.map(job, groups, groups.values()))
     index = {key: name for entries, _ in results for key, name in entries.items()}
     tef.write_index(index, args.out)
     _print(f"processed tiles  {len(index)}")

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 KNN_DEFAULT_K = 8
 

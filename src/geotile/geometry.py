@@ -113,9 +113,7 @@ def convex_hull(points: Sequence[Coord]) -> tuple[Coord, ...]:
 
 
 def box_area(box: MinBox) -> float:
-    c = box.corners
-    w = math.hypot(c[1][0] - c[0][0], c[1][1] - c[0][1])
-    h = math.hypot(c[3][0] - c[0][0], c[3][1] - c[0][1])
+    w, h = box_sides(box)
     return w * h
 
 

@@ -10,7 +10,6 @@ kept when inside.  Degenerate leftovers are dropped and counted.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -23,8 +22,6 @@ from .tef import tile_group
 
 if TYPE_CHECKING:
     from .pbf import PbfData, RawWay
-
-log = logging.getLogger(__name__)
 
 MIN_TILE_ENTITIES = 5
 MAX_TILE_ENTITIES = 1250

@@ -166,6 +166,11 @@ class Geometry:
             return tuple(r for poly in self.coords for r in poly)
         return ()
 
+    def ring_vertices(self) -> tuple[tuple[int, int], ...]:
+        """(ring index, position in ring) of every ring point but each
+        closing repeat, ring by ring: the vertex numbering of VisibilityGraph."""
+        return tuple((r, i) for r, ring in enumerate(self.rings()) for i in range(len(ring) - 1))
+
     def iter_points(self) -> Iterator[Coord]:
         """Every stored point, ring-closing repeats included."""
         if self.kind == "point":
@@ -191,9 +196,10 @@ class MinBox:
 class VisibilityGraph:
     """Vertex provenance plus labelled edges over a multipolygon's rings.
 
-    vertices[i] is (ring_index, position_in_ring); edges carry "bnd" for ring
-    adjacency and "vis" for unobstructed non-adjacent pairs.  Cross-ring vs
-    same-ring visibility can be recovered from the provenance.
+    vertices[i] is (ring_index, position_in_ring), numbered by
+    Geometry.ring_vertices; edges carry "bnd" for ring adjacency and "vis"
+    for unobstructed non-adjacent pairs.  Cross-ring vs same-ring visibility
+    can be recovered from the provenance.
     """
 
     vertices: tuple[tuple[int, int], ...]

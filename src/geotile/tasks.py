@@ -9,7 +9,6 @@ configurations ship with the package; custom ones load from JSON.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field, replace
@@ -18,8 +17,6 @@ from typing import Sequence
 
 from .model import Entity, Tile
 from .seeds import pcg_for
-
-log = logging.getLogger(__name__)
 
 BUNDLED_TASKS = ("bridge", "buildings", "car_bridge", "max_speed", "traffic_signals")
 
@@ -96,6 +93,8 @@ class TaskSpec:
             raise ValueError("a task needs at least one counted pattern")
         if self.rebalance_zero_keep is not None and not 0.0 <= self.rebalance_zero_keep <= 1.0:
             raise ValueError(f"'zero_keep' must lie in [0, 1], got {self.rebalance_zero_keep}")
+        if self.sentinel_when_no_match is not None and self.sentinel_value is None:
+            raise ValueError("a sentinel with 'when_no_match' needs a 'value'")
 
 
 _JSON_KINDS = {str: "a string", list: "a list", dict: "a JSON object", bool: "true or false", float: "a number"}
@@ -223,8 +222,6 @@ def compute_label(
             spec.sentinel_when_no_match.matches(k, v) for e in tile.entities for k, v in e.tags
         )
         if not predicate_hit:
-            if spec.sentinel_value is None:
-                raise ValueError(f"task {spec.name}: sentinel predicate without sentinel value")
             return _clamp(spec.sentinel_value, spec.clamp_range)
     values = []
     for e in tile.entities:

@@ -8,12 +8,15 @@ coordinates, and its errors are reported here at their TEF field path.
 
 A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
 gzipped TEF lines of one 4x4 block of the tile grid (at most 16 tiles), plus
-an ``index.json`` mapping tile ids to file names.  Writing an index deletes
-the group files beside it that it does not name.  Gzip members are written
-with a zeroed mtime so identical content produces identical bytes.  They are
-deflated at STORE_GZIP_LEVEL, zlib's default level 6, not gzip's level 9:
-on the benchmark corpora level 9 took 1.8 to 3.5 times as long and saved at
-most 1.5% of the bytes (BENCH_gzip.json).
+an ``index.json`` mapping tile ids to file names.  Every writer calls
+start_store, which deletes the index, then write_group for each group file,
+then write_index, which deletes every other file named like a group file and
+writes the index; a failed write thus leaves a store that no reader accepts.
+Every reader checks that a group file holds exactly the tiles the index lists
+for it.  Gzip members have a zeroed mtime, so identical content produces
+identical bytes, and are deflated at STORE_GZIP_LEVEL, zlib's default 6, not
+gzip's 9: on the benchmark corpora 9 took 1.8 to 3.5 times as long and saved
+at most 1.5% of the bytes (BENCH_gzip.json).
 
 Numbers must be finite: NaN, Infinity and literals that overflow a float are
 rejected like any other schema violation.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import gzip
+import io
 import json
 import os
 import re
@@ -132,9 +136,7 @@ def _geometry(obj, path: str, lineno) -> Geometry:
 def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
     if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
         raise _fail(path, "expected {\"edges\": [...]}", lineno)
-    vertices: list[tuple[int, int]] = []
-    for ridx, ring in enumerate(geom.rings()):
-        vertices.extend((ridx, i) for i in range(len(ring) - 1))
+    vertices = geom.ring_vertices()
     n = len(vertices)
     edges = []
     for i, item in enumerate(obj["edges"]):
@@ -149,7 +151,7 @@ def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
         if not (0 <= item[0] < n and 0 <= item[1] < n):
             raise _fail(f"{path}.edges[{i}]", "vertex index out of range", lineno)
         edges.append((item[0], item[1], item[2]))
-    return VisibilityGraph(vertices=tuple(vertices), edges=tuple(edges))
+    return VisibilityGraph(vertices=vertices, edges=tuple(edges))
 
 
 def _entity(obj, path: str, lineno) -> Entity:
@@ -249,8 +251,6 @@ def utf8_lines(fh: Iterable[bytes], path: str, error: type[ValueError]) -> Itera
 
 
 def _gzip_bytes(data: bytes) -> bytes:
-    import io
-
     buf = io.BytesIO()
     # GzipFile, not gzip.compress: 3.11's gzip.compress writes another OS
     # byte in the header, so the store bytes would depend on Python's version.
@@ -273,13 +273,8 @@ _GROUP_FILE = re.compile(r"\d+_\d+_\d+\.tefgz")
 
 
 def write_index(index: dict[str, str], root: str) -> None:
-    """Delete every group file under root that index does not name, then
-    write the store's index.json.  Keys are sorted, so its bytes do not
-    depend on the dict's order.
-
-    Group files are found by name, not through an earlier index, so those of
-    a store whose rewrite failed before its index was written go too.  Files
-    with other names stay."""
+    """Delete every file under root named like a group file that index does
+    not name, then write index.json with its keys sorted."""
     keep = set(index.values())
     with os.scandir(root) as entries:
         stale = [e.path for e in entries if _GROUP_FILE.fullmatch(e.name) and e.name not in keep and e.is_file()]
@@ -290,9 +285,16 @@ def write_index(index: dict[str, str], root: str) -> None:
     atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
 
 
+def start_store(root: str) -> None:
+    """Make root a directory with no index.json, the first step of every store write."""
+    os.makedirs(root, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(root, INDEX_NAME))
+
+
 def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
     """Write tiles into group files under root, replacing any store there; returns the tile -> file index."""
-    os.makedirs(root, exist_ok=True)
+    start_store(root)
     groups: dict[tuple[int, int, int], list[Tile]] = defaultdict(list)
     for tile in tiles:
         groups[tile_group(tile.id)].append(tile)
@@ -325,9 +327,17 @@ def read_store_index(root: str) -> dict[str, str]:
     return index
 
 
-def read_group_file(path: str) -> list[Tile]:
-    """The tiles of one group file; corrupt gzip data or TEF, or a tile of
-    another group, raises TefError naming the file."""
+def store_groups(root: str) -> dict[str, set[str]]:
+    """Each group file of a store, in name order, with the tile ids its index lists for it."""
+    groups: dict[str, set[str]] = defaultdict(set)
+    for key, name in read_store_index(root).items():
+        groups[name].add(key)
+    return dict(sorted(groups.items()))
+
+
+def read_group_file(path: str, keys: set[str]) -> list[Tile]:
+    """The tiles of one group file, exactly keys, the tile ids its index lists
+    for it; corrupt gzip data or TEF, or other tiles, raise TefError naming the file."""
     try:
         with gzip.open(path, "rb") as fh:
             tiles = list(parse_tef_lines(fh))
@@ -335,17 +345,15 @@ def read_group_file(path: str) -> list[Tile]:
         raise TefError(f"{path}: {exc}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TefError(f"{path}: corrupt gzip data: {exc}") from None
-    for tile in tiles:
-        want = group_file_name(tile_group(tile.id))
-        if want != os.path.basename(path):
-            raise TefError(f"{path}: tile {tile.id.key} belongs in {want}")
+    held = {t.id.key for t in tiles}
+    if held != keys:
+        raise TefError(f"{path}: holds unlisted tiles {sorted(held - keys)} and lacks listed tiles {sorted(keys - held)}")
     return tiles
 
 
 def read_store(root: str) -> list[Tile]:
     """All tiles in the store, ordered by group file then grid position."""
-    index = read_store_index(root)
     tiles: list[Tile] = []
-    for name in sorted(set(index.values())):
-        tiles.extend(read_group_file(os.path.join(root, name)))
+    for name, keys in store_groups(root).items():
+        tiles.extend(read_group_file(os.path.join(root, name), keys))
     return tiles

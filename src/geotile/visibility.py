@@ -40,20 +40,13 @@ def build_scene(geom: Geometry) -> Scene:
     rings = geom.rings()
     if not rings:
         raise ValueError("geometry has no rings")
-    vertices: list[tuple[float, float]] = []
-    provenance: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] = []
     for ridx, ring in enumerate(rings):
         if len(ring) < 4 or ring[0] != ring[-1]:
             raise ValueError(f"ring {ridx} is not closed (or has fewer than 3 distinct points)")
-        pts = ring[:-1]
-        base = len(vertices)
-        for pos, p in enumerate(pts):
-            vertices.append(p)
-            provenance.append((ridx, pos))
-        n = len(pts)
-        for i in range(n):
-            edges.append((base + i, base + (i + 1) % n))
+    provenance = list(geom.ring_vertices())
+    vertices = [rings[r][i] for r, i in provenance]
+    # Vertex k, at position i of its ring, joins the next one; the last joins the first, k - i.
+    edges = [(k, k + 1 if i + 2 < len(rings[r]) else k - i) for k, (r, i) in enumerate(provenance)]
     return vertices, provenance, edges
 
 

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -146,7 +147,10 @@ def test_tile_in_the_wrong_group_file_is_rejected(wide, capsys):
     path = os.path.join(store, "16_4513_6489.tefgz")
     with open(os.path.join(store, "16_4512_6489.tefgz"), "rb") as src, open(path, "wb") as dst:
         dst.write(src.read())
-    want = f"{path}: tile 16_18050_25956 belongs in 16_4512_6489.tefgz"
+    want = (
+        f"{path}: holds unlisted tiles ['16_18050_25956', '16_18051_25956'] "
+        "and lacks listed tiles ['16_18052_25956', '16_18053_25956']"
+    )
     with pytest.raises(tef.TefError) as err:
         tef.read_store(store)
     assert str(err.value) == want
@@ -154,6 +158,68 @@ def test_tile_in_the_wrong_group_file_is_rejected(wide, capsys):
     for jobs in ("1", "2"):
         assert main(["process", store, str(tmp_path / "proc"), "--jobs", jobs]) == 1
         assert capsys.readouterr().err == f"geotile: {want}\n"
+
+
+def _unlist_a_tile(store):
+    index = tef.read_store_index(store)
+    del index["16_18053_25956"]
+    tef.write_index(index, store)
+    return "holds unlisted tiles ['16_18053_25956'] and lacks listed tiles []"
+
+
+def _drop_a_tile(store):
+    tef.write_group([t for t in tef.read_store(store) if t.id.key == "16_18052_25956"], store)
+    return "holds unlisted tiles [] and lacks listed tiles ['16_18053_25956']"
+
+
+@pytest.mark.parametrize("fault", [_unlist_a_tile, _drop_a_tile], ids=["unlisted-tile", "missing-tile"])
+def test_group_file_that_disagrees_with_its_index_is_rejected(wide, capsys, fault):
+    tmp_path, store = wide
+    want = f"{os.path.join(store, '16_4513_6489.tefgz')}: {fault(store)}"
+    with pytest.raises(tef.TefError) as err:
+        tef.read_store(store)
+    assert str(err.value) == want
+    capsys.readouterr()
+    out = str(tmp_path / "proc")
+    for argv in (
+        ["process", store, out],
+        ["process", store, out, "--jobs", "2"],
+        ["synth-task", store, "--task", "buildings", "--out-dir", str(tmp_path / "tasks")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"geotile: {want}\n"
+
+
+def test_store_write_that_fails_after_its_first_group_file_leaves_no_readable_store(wide, monkeypatch, capsys):
+    # Over the 4x1 row, a row one tile to the east: its first group file
+    # replaces the row's, then the write fails before its second.
+    tmp_path, store = wide
+    shifted = [replace(t, id=geo.TileId(t.id.zoom, t.id.x + 1, t.id.y)) for t in tef.read_store(store)]
+    write_group = tef.write_group
+    written = []
+
+    def fail_after_one(tiles, root):
+        if written:
+            raise OSError("no space left on device")
+        written.append(write_group(tiles, root))
+        return written[-1]
+
+    monkeypatch.setattr(tef, "write_group", fail_after_one)
+    with pytest.raises(OSError):
+        tef.write_store(shifted, store)
+    monkeypatch.undo()
+    assert written == [{"16_18051_25956": "16_4512_6489.tefgz"}]
+    with pytest.raises(FileNotFoundError):
+        tef.read_store(store)
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("d=2\nbuilding=yes\t1.0 0.5\n")
+    for argv in (
+        ["process", store, str(tmp_path / "proc")],
+        ["synth-task", store, "--task", "buildings", "--out-dir", str(tmp_path / "tasks")],
+        ["encode", store, "--embeddings", str(vectors), "--out", str(tmp_path / "batch.gjtb")],
+    ):
+        assert main(argv) == 1
+        assert tef.INDEX_NAME in capsys.readouterr().err
 
 
 def test_failed_process_leaves_no_index_over_an_earlier_store(wide):

@@ -9,6 +9,7 @@ or a warning, fails the test.
 import gzip
 import os
 import random
+import shutil
 import struct
 import warnings
 import zlib
@@ -105,12 +106,17 @@ def files(tmp_path_factory):
     }
 
 
+def _read_through_index(path):
+    """Read a group file as read_store does, held to the index beside it."""
+    return tef.read_store(os.path.dirname(path))
+
+
 # format -> (reader of a path, error type, mutators)
 FORMATS = {
     "pbf": (pbf.read_pbf, pbf.PbfError, MUTATORS),
     "pbf-block": (pbf.read_pbf, pbf.PbfError, tuple(map(_in_data_block, MUTATORS))),
-    "group": (tef.read_group_file, tef.TefError, MUTATORS),
-    "tef-lines": (tef.read_group_file, tef.TefError, tuple(map(_regzip, MUTATORS))),
+    "group": (_read_through_index, tef.TefError, MUTATORS),
+    "tef-lines": (_read_through_index, tef.TefError, tuple(map(_regzip, MUTATORS))),
     "index": (lambda path: tef.read_store_index(os.path.dirname(path)), tef.TefError, MUTATORS),
     "vectors": (tokens.load_embeddings, tokens.TokenError, MUTATORS),
     "labels": (tasks.read_labels, tasks.TaskError, MUTATORS),
@@ -127,7 +133,9 @@ def test_mutated_input_fails_cleanly(files, tmp_path, fmt):
         original = fh.read()
     reader(source)  # the unmutated file reads
     # The mutant keeps its source's name: a group file's name is its tiles'
-    # group, and an index is read from its store's directory.
+    # group, and an index is read from its store's directory.  A group file
+    # is read beside an intact copy of its store's index.
+    shutil.copy(files["index"], tmp_path)
     path = str(tmp_path / os.path.basename(source))
     rng = random.Random(f"{SEED}-{fmt}")
     failures = []

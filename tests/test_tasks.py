@@ -138,6 +138,8 @@ _CAMS = '"name": "cams", "counted": ["highway=speed_camera"], "label": "count"'
     ('{' + _CAMS + ', "clamp": [0, 50], "mask": {"counted": 1}}', "'counted' must be true or false"),
     ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {}}', "'rebalance' needs 'zero_keep'"),
     ('{' + _CAMS + ', "clamp": [0, 50], "sentinel": {"when_no_match": ["a=*"]}}', "'when_no_match' must be a string"),
+    ('{' + _CAMS + ', "clamp": [0, 50], "sentinel": {"when_no_match": "highway=*"}}',
+     "a sentinel with 'when_no_match' needs a 'value'"),
     ('{"name": "cams", "counted": "ab", "label": "count", "clamp": [0, 50]}', "'counted' must be a list"),
     ('{"name": 3, "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "'name' must be a string"),
     ('{"name": "../escaped", "counted": ["a=*"], "label": "count", "clamp": [0, 50]}', "plain file name part"),
@@ -151,7 +153,7 @@ _CAMS = '"name": "cams", "counted": ["highway=speed_camera"], "label": "count"'
     ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {"zero_keep": 7.5}}', "'zero_keep' must lie in [0, 1], got 7.5"),
     ('{' + _CAMS + ', "clamp": [0, 50], "rebalance": {"zero_keep": -0.1}}', "'zero_keep' must lie in [0, 1]"),
 ], ids=["json", "utf8", "clamp-kind", "clamp-string", "clamp-bool", "clamp-length", "clamp-overflow",
-        "mask-kind", "mask-rule-keys", "mask-counted-kind", "rebalance-keys", "sentinel-kind",
+        "mask-kind", "mask-rule-keys", "mask-counted-kind", "rebalance-keys", "sentinel-kind", "sentinel-no-value",
         "counted-string", "name-kind", "name-path", "name-dots", "label-value", "clamp-order",
         "clamp-infinity", "clamp-float-overflow", "sentinel-nan", "zero-keep-nan", "zero-keep-above-one",
         "zero-keep-negative"])

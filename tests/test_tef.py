@@ -241,7 +241,7 @@ def test_group_members_sorted_by_grid_position(tmp_path):
     tiles = [_tile_at(18055, 25957), _tile_at(18052, 25957), _tile_at(18052, 25958)]
     root = tmp_path / "store"
     write_store(tiles, str(root))
-    members = read_group_file(str(root / "16_4513_6489.tefgz"))
+    members = read_group_file(str(root / "16_4513_6489.tefgz"), {t.id.key for t in tiles})
     keys = [(t.id.x, t.id.y) for t in members]
     assert keys == sorted(keys)
 
@@ -308,6 +308,9 @@ def test_group_files_are_deflated_at_the_store_level(tmp_path):
     assert len({deflate(text, level) for level in (5, 6, 7, 9)}) == 4
 
 
+GROUP_KEYS = {"16_18052_25957", "16_18053_25957"}  # the tiles of _group_file
+
+
 def _group_file(tmp_path):
     write_store([_tile_at(18052, 25957, n_entities=3), _tile_at(18053, 25957)], str(tmp_path))
     return tmp_path / "16_4513_6489.tefgz"
@@ -319,7 +322,7 @@ def test_truncated_group_file_names_the_file(tmp_path):
     for cut in (len(raw) // 2, len(raw) - 4, 5):
         path.write_bytes(raw[:cut])
         with pytest.raises(TefError) as err:
-            read_group_file(str(path))
+            read_group_file(str(path), GROUP_KEYS)
         assert str(err.value).startswith(f"{path}: corrupt gzip data: ")
 
 
@@ -330,7 +333,7 @@ def test_flipped_byte_in_group_file_names_the_file(tmp_path):
     for i in range(len(raw)):
         path.write_bytes(raw[:i] + bytes([raw[i] ^ 0x5A]) + raw[i + 1 :])
         try:
-            read_group_file(str(path))
+            read_group_file(str(path), GROUP_KEYS)
         except TefError as exc:
             assert str(exc).startswith(f"{path}: "), str(exc)
         else:
@@ -344,7 +347,7 @@ def test_group_file_that_is_not_utf8_names_the_file_and_line(tmp_path):
     text = gzip.decompress(path.read_bytes()).replace(b'"k"', b'"\xff"', 2)
     path.write_bytes(gzip.compress(text))
     with pytest.raises(TefError) as err:
-        read_group_file(str(path))
+        read_group_file(str(path), GROUP_KEYS)
     at = text.index(b"\xff")
     assert str(err.value) == f"{path}: tile: invalid UTF-8 at byte {at} (line 1)"
 
@@ -361,7 +364,7 @@ def test_non_finite_number_in_group_file_names_the_file_and_line(tmp_path):
     ):
         path.write_bytes(gzip.compress(head + b'"coords":[0.5,' + token + b"]" + tail))
         with pytest.raises(TefError) as err:
-            read_group_file(str(path))
+            read_group_file(str(path), GROUP_KEYS)
         assert str(err.value).startswith(f"{path}: tile") and str(err.value).endswith(f"{message} (line 2)")
 
 
@@ -370,8 +373,8 @@ def test_tile_of_another_group_names_the_file(tmp_path):
     moved = tmp_path / group_file_name((16, 4514, 6489))
     path.rename(moved)
     with pytest.raises(TefError) as err:
-        read_group_file(str(moved))
-    assert str(err.value) == f"{moved}: tile 16_18052_25957 belongs in 16_4513_6489.tefgz"
+        read_group_file(str(moved), tef.store_groups(str(tmp_path)).get(moved.name, set()))
+    assert str(err.value) == f"{moved}: holds unlisted tiles ['16_18052_25957', '16_18053_25957'] and lacks listed tiles []"
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,9 @@ here (its own orientation code, its own loop structure).
 import numpy as np
 import pytest
 
-from geotile import visibility
-from geotile.model import EDGE_BOUNDARY, EDGE_VISIBLE, Geometry
+from geotile import tef, visibility
+from geotile.geo import TileId
+from geotile.model import EDGE_BOUNDARY, EDGE_VISIBLE, Entity, Geometry, Tile
 from geotile.visibility import (
     build_scene,
     proper_crossing,
@@ -138,6 +139,16 @@ def test_vertices_carry_ring_provenance():
     for i, j, kind in cross:
         assert kind == "vis"
         assert graph.vertices[i][0] != graph.vertices[j][0]
+
+
+def test_built_graphs_read_back_from_tef_unchanged():
+    # TEF stores only the edges and numbers the vertices from the geometry.
+    rng = np.random.default_rng(130)
+    for _ in range(10):
+        geom = _random_multipolygon(rng)
+        entity = Entity(id=1, kind="relation", tags=(), geometry=geom, visgraph=visibility_edges(geom))
+        tile = Tile(id=TileId(16, 18052, 25957), origin=(0.0, 0.0), extent_m=500.0, entities=(entity,))
+        assert tef.tile_from_json(tef.tile_to_json(tile)) == tile
 
 
 def test_non_areal_geometry_is_rejected():
