@@ -3,7 +3,9 @@
 Every command is deterministic given its flags: one global --seed feeds
 per-stage derived seeds, and all diagnostics go to stderr.  Each output file
 is written to a temp file, then renamed, so an interrupted run leaves no
-partial files; a store is replaced by the rule in tef's docstring.
+partial files.  A command reads all of its input before tef.replace_store
+replaces a store, so one that fails while reading, even `process S S`,
+changes nothing on disk.
 Set GEOTILE_LOG=debug|info|warning to adjust verbosity; at info, every
 command logs its name, exit code and wall time.
 
@@ -58,8 +60,8 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _process_group(store: str, out: str, eps_m: float, seed: int, lo: int, hi: int, name: str, keys: set[str]):
-    """Read, process, filter and write one group file; returns its index entries and drop count."""
+def _process_group(store: str, eps_m: float, seed: int, lo: int, hi: int, name: str, keys: set[str]):
+    """Read, process and filter one group file; returns its encoded group (None if no tile is kept) and drop count."""
     # Imported here as well as in cmd_process: pool workers call this directly.
     from . import process
 
@@ -68,7 +70,7 @@ def _process_group(store: str, out: str, eps_m: float, seed: int, lo: int, hi: i
         for t in tef.read_group_file(os.path.join(store, name), keys)
     ]
     kept, dropped = ingest.filter_outliers(worked, lo, hi)
-    return (tef.write_group(kept, out) if kept else {}), dropped
+    return (tef.encode_group(kept) if kept else None), dropped
 
 
 def cmd_process(args) -> int:
@@ -79,8 +81,7 @@ def cmd_process(args) -> int:
     if math.isnan(eps_m):
         raise ValueError(f"--eps-m must be a number, got {eps_m}")
     groups = tef.store_groups(args.store)
-    tef.start_store(args.out)
-    job = functools.partial(_process_group, args.store, args.out, eps_m, seed, args.min_entities, args.max_entities)
+    job = functools.partial(_process_group, args.store, eps_m, seed, args.min_entities, args.max_entities)
     if args.jobs <= 1 or len(groups) <= 1:
         results = list(map(job, groups, groups.values()))
     else:
@@ -88,8 +89,7 @@ def cmd_process(args) -> int:
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(job, groups, groups.values()))
-    index = {key: name for entries, _ in results for key, name in entries.items()}
-    tef.write_index(index, args.out)
+    index = tef.replace_store([encoded for encoded, _ in results if encoded], args.out)
     _print(f"processed tiles  {len(index)}")
     _print(f"outliers dropped {sum(dropped for _, dropped in results)}")
     return 0
@@ -102,14 +102,13 @@ def cmd_synth_task(args) -> int:
     seed = _stage_seed(args.seed, "synth-task")
     tiles = tef.read_store(args.store)
     result = tasks.synthesize_task(tiles, spec, seed=seed)
-    groups = ingest.group_tiles([t.id for t in tiles if t.id.key in result.labels])
+    labelled = [t for t in tiles if t.id.key in result.labels]
+    groups = ingest.group_tiles([t.id for t in labelled])
     splits = ingest.split_groups(groups, args.split_ratios, seed)
     os.makedirs(args.out_dir, exist_ok=True)
     labels_path = os.path.join(args.out_dir, f"{spec.name}_labels.csv")
     tasks.write_labels(result.labels, labels_path)
-    masked = [tasks.apply_mask(t, spec) for t in tiles if t.id.key in result.labels]
-    masked_root = os.path.join(args.out_dir, f"{spec.name}.masked")
-    tef.write_store(masked, masked_root)
+    tef.write_store([tasks.apply_mask(t, spec) for t in labelled], os.path.join(args.out_dir, f"{spec.name}.masked"))
     splits_path = os.path.join(args.out_dir, f"{spec.name}_splits.json")
     payload = {
         name: sorted(tef.group_file_name(g).removesuffix(".tefgz") for g in members)
@@ -121,11 +120,7 @@ def cmd_synth_task(args) -> int:
     _print(f"pruned            {result.pruned}")
     _print(f"rebalance dropped {result.rebalance_dropped}")
     _print(f"unparseable values {result.diagnostics.unparseable_values}")
-    counts = Counter()
-    for t in tiles:
-        if t.id.key in result.labels:
-            for e in t.entities:
-                counts.update(tag_key(k, v) for k, v in e.tags)
+    counts = Counter(tag_key(k, v) for t in labelled for e in t.entities for k, v in e.tags)
     _print("top tags:")
     for tag, n in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]:
         _print(f"  {tag}  {n}")

@@ -8,15 +8,18 @@ coordinates, and its errors are reported here at their TEF field path.
 
 A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
 gzipped TEF lines of one 4x4 block of the tile grid (at most 16 tiles), plus
-an ``index.json`` mapping tile ids to file names.  Every writer calls
-start_store, which deletes the index, then write_group for each group file,
-then write_index, which deletes every other file named like a group file and
-writes the index; a failed write thus leaves a store that no reader accepts.
-Every reader checks that a group file holds exactly the tiles the index lists
-for it.  Gzip members have a zeroed mtime, so identical content produces
-identical bytes, and are deflated at STORE_GZIP_LEVEL, zlib's default 6, not
-gzip's 9: on the benchmark corpora 9 took 1.8 to 3.5 times as long and saved
-at most 1.5% of the bytes (BENCH_gzip.json).
+an ``index.json`` mapping tile ids to file names.  replace_store is the only
+code that touches a store's files: it deletes the index, then every file
+named like a group file, writes the group files encode_group made, and
+writes the index last, so a failed write leaves a store that no reader
+accepts.  Every stage reads all of its input before it calls replace_store,
+so one whose input is bad changes nothing on disk.  Every reader checks that
+a group file holds exactly the tiles the index lists for it, and a missing
+index or group file raises TefError like a corrupt one.  Gzip members have
+a zeroed mtime, so identical content produces identical bytes, and are
+deflated at STORE_GZIP_LEVEL, zlib's default 6, not gzip's 9: on the
+benchmark corpora 9 took 1.8 to 3.5 times as long and saved at most 1.5% of
+the bytes (BENCH_gzip.json).
 
 Numbers must be finite: NaN, Infinity and literals that overflow a float are
 rejected like any other schema violation.
@@ -259,57 +262,53 @@ def _gzip_bytes(data: bytes) -> bytes:
     return buf.getvalue()
 
 
-def write_group(tiles: list[Tile], root: str) -> dict[str, str]:
-    """Write one group's tiles (at least one) to its file under root; returns their tile -> file entries."""
+def encode_group(tiles: list[Tile]) -> tuple[str, bytes, list[str]]:
+    """One group's tiles (at least one) as its file name, its gzipped TEF lines in grid order, and their ids."""
     members = sorted(tiles, key=lambda t: (t.id.x, t.id.y))
-    name = group_file_name(tile_group(members[0].id))
     text = "".join(tile_to_json(t) + "\n" for t in members)
-    atomic_write_bytes(os.path.join(root, name), _gzip_bytes(text.encode("utf-8")))
-    return {t.id.key: name for t in members}
+    return group_file_name(tile_group(members[0].id)), _gzip_bytes(text.encode("utf-8")), [t.id.key for t in members]
 
 
 # The names group_file_name writes.
 _GROUP_FILE = re.compile(r"\d+_\d+_\d+\.tefgz")
 
 
-def write_index(index: dict[str, str], root: str) -> None:
-    """Delete every file under root named like a group file that index does
-    not name, then write index.json with its keys sorted."""
-    keep = set(index.values())
+def replace_store(groups: Iterable[tuple[str, bytes, list[str]]], root: str) -> dict[str, str]:
+    """Replace any store under root by the encoded groups; returns the tile -> file index.
+
+    Deletes index.json, then every file named like a group file, writes each
+    group file, then writes index.json with its keys sorted."""
+    os.makedirs(root, exist_ok=True)
     with os.scandir(root) as entries:
-        stale = [e.path for e in entries if _GROUP_FILE.fullmatch(e.name) and e.name not in keep and e.is_file()]
-    for path in stale:
+        old = [e.path for e in entries if _GROUP_FILE.fullmatch(e.name) and e.is_file()]
+    for path in [os.path.join(root, INDEX_NAME), *old]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(path)
+    index: dict[str, str] = {}
+    for name, data, keys in groups:
+        atomic_write_bytes(os.path.join(root, name), data)
+        index.update(dict.fromkeys(keys, name))
     payload = json.dumps({"tiles": index}, indent=1, sort_keys=True)
     atomic_write_bytes(os.path.join(root, INDEX_NAME), payload.encode("utf-8"))
-
-
-def start_store(root: str) -> None:
-    """Make root a directory with no index.json, the first step of every store write."""
-    os.makedirs(root, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(root, INDEX_NAME))
+    return index
 
 
 def write_store(tiles: Iterable[Tile], root: str) -> dict[str, str]:
     """Write tiles into group files under root, replacing any store there; returns the tile -> file index."""
-    start_store(root)
     groups: dict[tuple[int, int, int], list[Tile]] = defaultdict(list)
     for tile in tiles:
         groups[tile_group(tile.id)].append(tile)
-    index: dict[str, str] = {}
-    for group in sorted(groups):
-        index.update(write_group(groups[group], root))
-    write_index(index, root)
-    return index
+    return replace_store([encode_group(groups[g]) for g in sorted(groups)], root)
 
 
 def read_store_index(root: str) -> dict[str, str]:
-    """The tile -> group file map of a store; a malformed index raises TefError naming it."""
+    """The tile -> group file map of a store; a missing or malformed index raises TefError naming it."""
     path = os.path.join(root, INDEX_NAME)
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise TefError(f"{path}: no such file; {root} is not a store, or a write to it did not finish") from None
     try:
         obj = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # invalid UTF-8 or JSON
@@ -337,7 +336,7 @@ def store_groups(root: str) -> dict[str, set[str]]:
 
 def read_group_file(path: str, keys: set[str]) -> list[Tile]:
     """The tiles of one group file, exactly keys, the tile ids its index lists
-    for it; corrupt gzip data or TEF, or other tiles, raise TefError naming the file."""
+    for it; a missing file, corrupt gzip data or TEF, or other tiles, raise TefError naming the file."""
     try:
         with gzip.open(path, "rb") as fh:
             tiles = list(parse_tef_lines(fh))
@@ -345,6 +344,8 @@ def read_group_file(path: str, keys: set[str]) -> list[Tile]:
         raise TefError(f"{path}: {exc}") from None
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise TefError(f"{path}: corrupt gzip data: {exc}") from None
+    except FileNotFoundError:
+        raise TefError(f"{path}: no such file, though the index lists tiles {sorted(keys)} in it") from None
     held = {t.id.key for t in tiles}
     if held != keys:
         raise TefError(f"{path}: holds unlisted tiles {sorted(held - keys)} and lacks listed tiles {sorted(keys - held)}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -117,6 +117,9 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.total_steps < 1:
             raise ValueError("total_steps must be positive")
+        for f in fields(self):
+            if f.name != "total_steps" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.lr_end > self.lr_base:
             raise ValueError("lr_end must not exceed lr_base")
 

@@ -113,8 +113,8 @@ def test_process_into_an_earlier_store_keeps_only_indexed_files(wide):
 
 def test_failed_process_strands_no_group_file_of_the_store_before_it(wide):
     # The 4x1 row into out, then a copy of the 2x2 block with a truncated
-    # group file (exit 1, and no index left), then the block itself: only the
-    # block's files may remain, though no index names the row's files.
+    # group file (exit 1, and the row's store left whole), then the block
+    # itself: only the block's files may remain.
     tmp_path, row = wide
     write_grid_pbf(tmp_path / "block.pbf", 18052, 25956, 2, 2)
     block = str(tmp_path / "block")
@@ -125,12 +125,26 @@ def test_failed_process_strands_no_group_file_of_the_store_before_it(wide):
     os.truncate(path, os.path.getsize(path) // 2)
     out = str(tmp_path / "out")
     assert main(["process", row, out]) == 0
+    before = _store_bytes(out)
     assert main(["process", broken, out]) == 1
-    assert not os.path.exists(os.path.join(out, tef.INDEX_NAME))
+    assert _store_bytes(out) == before
+    assert len(tef.read_store(out)) == 4
     assert main(["process", block, out]) == 0
     assert sorted(os.listdir(out)) == ["16_4513_6489.tefgz", tef.INDEX_NAME]
     assert main(["process", block, str(tmp_path / "fresh")]) == 0
     assert _store_bytes(out) == _store_bytes(str(tmp_path / "fresh"))
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_failed_process_in_place_leaves_its_input_whole(wide, jobs):
+    # The second group file is cut short: the first is read and processed
+    # before the failure, and no file of the input may change.
+    tmp_path, store = wide
+    path = os.path.join(store, "16_4513_6489.tefgz")
+    os.truncate(path, os.path.getsize(path) // 2)
+    before = _store_bytes(store)
+    assert main(["process", store, store, "--jobs", jobs]) == 1
+    assert _store_bytes(store) == before
 
 
 def test_truncated_group_file_fails_the_process_pool_naming_it(wide, capsys):
@@ -163,28 +177,49 @@ def test_tile_in_the_wrong_group_file_is_rejected(wide, capsys):
 def _unlist_a_tile(store):
     index = tef.read_store_index(store)
     del index["16_18053_25956"]
-    tef.write_index(index, store)
-    return "holds unlisted tiles ['16_18053_25956'] and lacks listed tiles []"
+    payload = json.dumps({"tiles": index}, indent=1, sort_keys=True)
+    tef.atomic_write_bytes(os.path.join(store, tef.INDEX_NAME), payload.encode("utf-8"))
+    return f"{os.path.join(store, '16_4513_6489.tefgz')}: holds unlisted tiles ['16_18053_25956'] and lacks listed tiles []"
 
 
 def _drop_a_tile(store):
-    tef.write_group([t for t in tef.read_store(store) if t.id.key == "16_18052_25956"], store)
-    return "holds unlisted tiles [] and lacks listed tiles ['16_18053_25956']"
+    name, data, _ = tef.encode_group([t for t in tef.read_store(store) if t.id.key == "16_18052_25956"])
+    tef.atomic_write_bytes(os.path.join(store, name), data)
+    return f"{os.path.join(store, '16_4513_6489.tefgz')}: holds unlisted tiles [] and lacks listed tiles ['16_18053_25956']"
 
 
-@pytest.mark.parametrize("fault", [_unlist_a_tile, _drop_a_tile], ids=["unlisted-tile", "missing-tile"])
+def _remove_a_group_file(store):
+    path = os.path.join(store, "16_4513_6489.tefgz")
+    os.remove(path)
+    return f"{path}: no such file, though the index lists tiles ['16_18052_25956', '16_18053_25956'] in it"
+
+
+def _remove_the_index(store):
+    path = os.path.join(store, tef.INDEX_NAME)
+    os.remove(path)
+    return f"{path}: no such file; {store} is not a store, or a write to it did not finish"
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [_unlist_a_tile, _drop_a_tile, _remove_a_group_file, _remove_the_index],
+    ids=["unlisted-tile", "missing-tile", "missing-group-file", "missing-index"],
+)
 def test_group_file_that_disagrees_with_its_index_is_rejected(wide, capsys, fault):
     tmp_path, store = wide
-    want = f"{os.path.join(store, '16_4513_6489.tefgz')}: {fault(store)}"
+    want = fault(store)
     with pytest.raises(tef.TefError) as err:
         tef.read_store(store)
     assert str(err.value) == want
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("d=2\nbuilding=yes\t1.0 0.5\n")
     capsys.readouterr()
     out = str(tmp_path / "proc")
     for argv in (
         ["process", store, out],
         ["process", store, out, "--jobs", "2"],
         ["synth-task", store, "--task", "buildings", "--out-dir", str(tmp_path / "tasks")],
+        ["encode", store, "--embeddings", str(vectors), "--out", str(tmp_path / "batch.gjtb")],
     ):
         assert main(argv) == 1
         assert capsys.readouterr().err == f"geotile: {want}\n"
@@ -195,21 +230,23 @@ def test_store_write_that_fails_after_its_first_group_file_leaves_no_readable_st
     # replaces the row's, then the write fails before its second.
     tmp_path, store = wide
     shifted = [replace(t, id=geo.TileId(t.id.zoom, t.id.x + 1, t.id.y)) for t in tef.read_store(store)]
-    write_group = tef.write_group
+    atomic_write_bytes = tef.atomic_write_bytes
     written = []
 
-    def fail_after_one(tiles, root):
+    def fail_after_one(path, data):
         if written:
             raise OSError("no space left on device")
-        written.append(write_group(tiles, root))
-        return written[-1]
+        atomic_write_bytes(path, data)
+        written.append(path)
 
-    monkeypatch.setattr(tef, "write_group", fail_after_one)
+    monkeypatch.setattr(tef, "atomic_write_bytes", fail_after_one)
     with pytest.raises(OSError):
         tef.write_store(shifted, store)
     monkeypatch.undo()
-    assert written == [{"16_18051_25956": "16_4512_6489.tefgz"}]
-    with pytest.raises(FileNotFoundError):
+    assert written == [os.path.join(store, "16_4512_6489.tefgz")]
+    assert os.listdir(store) == ["16_4512_6489.tefgz"]
+    assert [t.id.key for t in tef.read_group_file(written[0], {"16_18051_25956"})] == ["16_18051_25956"]
+    with pytest.raises(tef.TefError, match="is not a store, or a write to it did not finish"):
         tef.read_store(store)
     vectors = tmp_path / "vectors.txt"
     vectors.write_text("d=2\nbuilding=yes\t1.0 0.5\n")
@@ -222,14 +259,16 @@ def test_store_write_that_fails_after_its_first_group_file_leaves_no_readable_st
         assert tef.INDEX_NAME in capsys.readouterr().err
 
 
-def test_failed_process_leaves_no_index_over_an_earlier_store(wide):
+def test_failed_process_leaves_an_earlier_store_whole(wide):
     tmp_path, store = wide
     out = str(tmp_path / "proc")
     assert main(["process", store, out]) == 0
+    before = _store_bytes(out)
     path = os.path.join(store, "16_4513_6489.tefgz")
     os.truncate(path, os.path.getsize(path) - 4)
     assert main(["process", store, out]) == 1
-    assert not os.path.exists(os.path.join(out, tef.INDEX_NAME))
+    assert _store_bytes(out) == before
+    assert len(tef.read_store(out)) == 4
 
 
 def test_malformed_index_fails_process_naming_it(wide, capsys):
@@ -582,6 +621,20 @@ def test_flag_defaults_are_the_library_defaults(pipeline, capsys):
     assert (tmp_path / "default.csv").read_bytes() == (tmp_path / "explicit.csv").read_bytes()
     assert main(["schedule", "--total-steps", "7", "--wd-end", "0.1"]) == 0
     assert capsys.readouterr().out.splitlines()[2].endswith("-> 0.1")
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--lr-base", "nan", "lr_base"), ("--lr-end", "-inf", "lr_end"), ("--wd-end", "inf", "weight_decay_end"),
+     ("--momentum-init", "nan", "momentum_init"), ("--momentum-end", "inf", "momentum_end")],
+)
+def test_schedule_rejects_a_value_that_is_not_finite(tmp_path, capsys, flag, value, field):
+    # nan printed "lr nan -> nan" and --momentum-end inf "momentum nan -> inf", both exiting 0.
+    dump = tmp_path / "sched.csv"
+    assert main(["schedule", "--total-steps", "10", "--dump", str(dump), f"{flag}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"geotile: {field} must be finite, got {float(value)}\n"
+    assert captured.out == "" and not dump.exists()
 
 
 def test_empty_extract_is_fine(tmp_path, capsys):
