@@ -89,6 +89,15 @@ _LISTS = {
 _DEPTH = {kind: len(lists) for kind, lists in _LISTS.items()}
 
 
+def _walk(value, level: int, depth: int, fn: Callable):
+    """value, nested level deep, with fn applied to each part nested depth
+    deep.  A module function: a closure that called itself would make a
+    reference cycle on every Geometry.map."""
+    if level == depth:
+        return fn(value)
+    return tuple(_walk(v, level - 1, depth, fn) for v in value)
+
+
 def _checked(value, lists: tuple, where: str) -> tuple:
     """value as nested tuples of floats, each list checked against lists."""
     if not lists:
@@ -149,14 +158,9 @@ class Geometry:
         polyline and ring (depth 1); a point has no depth-1 part and is
         returned as is.  The result is not validated.
         """
-        def walk(value, level):
-            if level == depth:
-                return fn(value)
-            return tuple(walk(v, level - 1) for v in value)
-
         if _DEPTH[self.kind] < depth:
             return self
-        return Geometry(self.kind, walk(self.coords, _DEPTH[self.kind]))
+        return Geometry(self.kind, _walk(self.coords, _DEPTH[self.kind], depth, fn))
 
     def rings(self) -> tuple[Ring, ...]:
         """All rings regardless of polygon membership (empty for non-areal kinds)."""

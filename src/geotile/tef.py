@@ -236,11 +236,14 @@ def parse_tef_lines(lines: Iterable[str | bytes]) -> Iterator[Tile]:
 # -------------------------------------------------------------------- store
 
 
-def atomic_write_bytes(path: str, data: bytes) -> None:
-    """Write via a sibling temp file and rename, so crashes leave no partial file."""
+def atomic_write_bytes(path: str, *buffers) -> None:
+    """Write the buffers in order via a sibling temp file and rename, so
+    crashes leave no partial file.  Each buffer is written as it is, without
+    a copy: bytes, or a C-contiguous array holding its bytes in file order."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        for data in buffers:
+            fh.write(data)
     os.replace(tmp, path)
 
 

@@ -8,6 +8,7 @@ unit handed to masking and loss code: per sample a run of real tokens
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -265,38 +266,45 @@ def assemble_token_batch(
 
 
 def dump_token_batch(batch: TokenBatch, path: str) -> None:
-    """Self-describing little-endian dump; round-trips bit-exactly."""
+    """Self-describing little-endian dump; round-trips bit-exactly.
+
+    Each array goes to the file as it is when it is already contiguous
+    little-endian float32 (boxes and payload), so the batch is not copied.
+    """
     from .tef import atomic_write_bytes
 
-    n, max_len, d = batch.size, batch.max_len, batch.dim
-    parts = [BATCH_MAGIC, struct.pack("<IIII", BATCH_VERSION, n, max_len, d)]
-    parts.append(batch.modality.astype("<f4").tobytes())
-    parts.append(batch.boxes.astype("<f4").tobytes())
-    parts.append(batch.payload.astype("<f4").tobytes())
-    parts.append(batch.valid_len.astype("<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    header = BATCH_MAGIC + struct.pack("<IIII", BATCH_VERSION, batch.size, batch.max_len, batch.dim)
+    arrays = (batch.modality, batch.boxes, batch.payload, batch.valid_len)
+    atomic_write_bytes(path, header, *(np.ascontiguousarray(a, dtype="<f4") for a in arrays))
 
 
 def load_token_batch(path: str) -> TokenBatch:
-    """Read a dump_token_batch file; a malformed dump raises TokenError naming the file."""
+    """Read a dump_token_batch file; a malformed dump raises TokenError naming the file.
+
+    The header and the file's size are checked before the arrays are read.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != BATCH_MAGIC:
-        raise TokenError(f"{path}: not a token-batch dump (bad magic)")
-    if len(blob) < 20:
-        raise TokenError(f"{path}: truncated header, {len(blob)} of 20 bytes")
-    version, n, max_len, d = struct.unpack_from("<IIII", blob, 4)
-    if version != BATCH_VERSION:
-        raise TokenError(f"{path}: unsupported version {version}")
-    shapes = [(n, max_len), (n, max_len, 8), (n, max_len, d), (n,)]
-    expected = 20 + 4 * sum(math.prod(shape) for shape in shapes)
-    if len(blob) != expected:
-        raise TokenError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    offset = 20
+        header = fh.read(20)
+        if header[:4] != BATCH_MAGIC:
+            raise TokenError(f"{path}: not a token-batch dump (bad magic)")
+        if len(header) < 20:
+            raise TokenError(f"{path}: truncated header, {len(header)} of 20 bytes")
+        version, n, max_len, d = struct.unpack_from("<IIII", header, 4)
+        if version != BATCH_VERSION:
+            raise TokenError(f"{path}: unsupported version {version}")
+        shapes = [(n, max_len), (n, max_len, 8), (n, max_len, d), (n,)]
+        expected = 20 + 4 * sum(math.prod(shape) for shape in shapes)
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise TokenError(f"{path}: expected {expected} bytes, found {size}")
+        data = fh.read(expected - 20)
+    if len(data) != expected - 20:
+        raise TokenError(f"{path}: expected {expected} bytes, found {20 + len(data)}")
+    offset = 0
     arrays = []
     for shape in shapes:
         count = math.prod(shape)
-        arrays.append(np.frombuffer(blob, dtype="<f4", count=count, offset=offset).reshape(shape).copy())
+        arrays.append(np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape).copy())
         offset += 4 * count
     modality, boxes, payload, valid_len = arrays
     # Integers travel as float32, so integrality and range are checked here.

@@ -5,6 +5,7 @@ from the library's: recursive simplification, gift-wrapping hulls, and a
 dense 0.1-degree rotation scan for boxes.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -428,6 +429,19 @@ def test_geometry_map_on_every_kind_at_both_depths():
     assert multi.map(shift) == Geometry.multipolygon([[shifted(ring), shifted(hole)], [shifted(hole)]])
     assert multi.map(shifted, depth=1) == multi.map(shift)
     assert multi.map(len, depth=1) == Geometry("multipolygon", ((4, 4), (4,)))
+
+
+def test_geometry_map_leaves_no_reference_cycle():
+    multi = Geometry.multipolygon([[_SQUARE, _SQUARE], [_SQUARE]])
+    gc.collect()
+    gc.disable()
+    try:
+        for depth in range(1000):
+            multi.map(tuple, depth=depth % 3)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 _SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]

@@ -1,6 +1,9 @@
 """Vocabulary, embeddings, positional boxes and token batches."""
 
 import re
+import struct
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -283,21 +286,26 @@ def test_batch_shape_validation():
         )
 
 
+def _random_batch(rng, n, max_len, d):
+    """A valid batch: each sample has 1 to max_len random tokens, then zero PAD slots."""
+    valid = rng.integers(1, max_len + 1, n).astype(np.int32)
+    modality = np.zeros((n, max_len), dtype=np.int32)
+    boxes = np.zeros((n, max_len, 8), dtype=np.float32)
+    payload = np.zeros((n, max_len, d), dtype=np.float32)
+    for i in range(n):
+        modality[i, : valid[i]] = rng.integers(1, 3, valid[i])
+        boxes[i, : valid[i]] = rng.normal(size=(valid[i], 8)).astype(np.float32)
+        payload[i, : valid[i]] = rng.normal(size=(valid[i], d)).astype(np.float32)
+    return TokenBatch(modality=modality, boxes=boxes, payload=payload, valid_len=valid)
+
+
 def test_dump_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(19)
     for trial in range(20):
         n = int(rng.integers(1, 5))
         max_len = int(rng.integers(1, 12))
         d = int(rng.integers(1, 7))
-        valid = rng.integers(1, max_len + 1, n).astype(np.int32)
-        modality = np.zeros((n, max_len), dtype=np.int32)
-        boxes = np.zeros((n, max_len, 8), dtype=np.float32)
-        payload = np.zeros((n, max_len, d), dtype=np.float32)
-        for i in range(n):
-            modality[i, : valid[i]] = rng.integers(1, 3, valid[i])
-            boxes[i, : valid[i]] = rng.normal(size=(valid[i], 8)).astype(np.float32)
-            payload[i, : valid[i]] = rng.normal(size=(valid[i], d)).astype(np.float32)
-        batch = TokenBatch(modality=modality, boxes=boxes, payload=payload, valid_len=valid)
+        batch = _random_batch(rng, n, max_len, d)
         path = tmp_path / f"batch_{trial}.gjtb"
         dump_token_batch(batch, str(path))
         back = load_token_batch(str(path))
@@ -305,6 +313,77 @@ def test_dump_roundtrip_bit_exact(tmp_path):
         assert back.boxes.tobytes() == batch.boxes.tobytes()
         assert back.payload.tobytes() == batch.payload.tobytes()
         assert back.valid_len.tobytes() == batch.valid_len.tobytes()
+
+
+def _joined_dump(batch):
+    """The dump's bytes built as one blob, array by array: the reference form."""
+    header = b"GJTB" + struct.pack("<IIII", 1, batch.size, batch.max_len, batch.dim)
+    arrays = (batch.modality, batch.boxes, batch.payload, batch.valid_len)
+    return header + b"".join(a.astype("<f4").tobytes() for a in arrays)
+
+
+def _wide_payload_view(batch):
+    """The batch with its payload as a non-contiguous view of a wider array."""
+    wide = np.full(batch.payload.shape[:2] + (batch.dim + 3,), 9.0, dtype=np.float32)
+    wide[:, :, : batch.dim] = batch.payload
+    return replace(batch, payload=wide[:, :, : batch.dim])
+
+
+def _widened_dtypes(batch):
+    """The batch as int64 codes and lengths and float64 boxes and payload."""
+    return replace(batch, modality=batch.modality.astype(np.int64), boxes=batch.boxes.astype(np.float64),
+                   payload=batch.payload.astype(np.float64), valid_len=batch.valid_len.astype(np.int64))
+
+
+def _empty_sample(batch):
+    """The batch with sample 1 emptied: zero valid tokens, all PAD."""
+    batch = replace(batch, modality=batch.modality.copy(), boxes=batch.boxes.copy(),
+                    payload=batch.payload.copy(), valid_len=batch.valid_len.copy())
+    batch.modality[1], batch.boxes[1], batch.payload[1], batch.valid_len[1] = 0, 0.0, 0.0, 0
+    return batch
+
+
+@pytest.mark.parametrize("variant", [_widened_dtypes, _wide_payload_view, _empty_sample],
+                         ids=["converted-dtypes", "non-contiguous-payload", "empty-sample"])
+def test_dump_bytes_equal_the_joined_form(tmp_path, variant):
+    batch = variant(_random_batch(np.random.default_rng(23), 3, 7, 5))
+    path = tmp_path / "batch.gjtb"
+    dump_token_batch(batch, str(path))
+    assert path.read_bytes() == _joined_dump(batch)
+    back = load_token_batch(str(path))
+    assert back.payload.tobytes() == np.asarray(batch.payload, dtype=np.float32).tobytes()
+    assert back.valid_len.tolist() == batch.valid_len.tolist()
+
+
+def test_dump_writes_the_batch_without_copying_it(tmp_path):
+    batch = _random_batch(np.random.default_rng(29), 64, 200, 64)
+    dump_token_batch(batch, str(tmp_path / "warm.gjtb"))  # the first call imports the writer
+    tracemalloc.start()
+    try:
+        dump_token_batch(batch, str(tmp_path / "batch.gjtb"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * sum(a.nbytes for a in (batch.modality, batch.boxes, batch.payload, batch.valid_len))
+
+
+@pytest.mark.parametrize("header,message", [
+    (b"NOPE" + bytes(16), "bad magic"),
+    (b"GJTB" + struct.pack("<IIII", 1, 2, 3, 4), r"expected 340 bytes, found 40000000"),
+], ids=["bad-magic", "wrong-size"])
+def test_load_rejects_a_big_bad_file_before_reading_it(tmp_path, header, message):
+    path = tmp_path / "big.gjtb"
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.truncate(40_000_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TokenError, match=message):
+            load_token_batch(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_dump_header_and_corruption(tmp_path):
