@@ -109,15 +109,27 @@ def tile_index(lon: float, lat: float, zoom: int = DEFAULT_ZOOM) -> TileId:
     return TileId(zoom, min(max(math.floor(x), 0), n - 1), min(max(math.floor(y), 0), n - 1))
 
 
-def project_local(lon: float, lat: float, origin: tuple[float, float]) -> tuple[float, float]:
-    """Project a geographic point into the local metric frame at `origin`.
+def points_to_norm(points, origin: tuple[float, float], extent_m: float) -> list[tuple[float, float]]:
+    """Each geographic (lon, lat) of points in normalised tile coordinates, in one pass.
 
-    Equirectangular about the origin latitude: x east, y north, metres.
+    Equirectangular about the origin latitude (x east, y north, metres),
+    then divided by the tile extent, so (0, 0) is the SW corner.  This is
+    the one source of the projection; the per-point functions below call it.
     """
+    if extent_m <= 0:
+        raise ValueError(f"extent must be positive, got {extent_m}")
     olon, olat = origin
-    x = (lon - olon) * math.cos(math.radians(olat)) * METERS_PER_DEGREE
-    y = (lat - olat) * METERS_PER_DEGREE
-    return (x, y)
+    cos_olat = math.cos(math.radians(olat))
+    return [
+        ((lon - olon) * cos_olat * METERS_PER_DEGREE / extent_m, (lat - olat) * METERS_PER_DEGREE / extent_m)
+        for lon, lat in points
+    ]
+
+
+def project_local(lon: float, lat: float, origin: tuple[float, float]) -> tuple[float, float]:
+    """Project a geographic point into the local metric frame at `origin`
+    (a division by an extent of 1.0 changes no float)."""
+    return points_to_norm(((lon, lat),), origin, 1.0)[0]
 
 
 def normalize(xy_m: tuple[float, float], extent_m: float) -> tuple[float, float]:
@@ -129,4 +141,4 @@ def normalize(xy_m: tuple[float, float], extent_m: float) -> tuple[float, float]
 
 def geo_to_norm(lon: float, lat: float, origin: tuple[float, float], extent_m: float) -> tuple[float, float]:
     """Convenience: geographic degrees straight to normalised tile coordinates."""
-    return normalize(project_local(lon, lat, origin), extent_m)
+    return points_to_norm(((lon, lat),), origin, extent_m)[0]

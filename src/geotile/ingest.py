@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .geo import TileId, tile_extent_m, tile_fraction, tile_origin, geo_to_norm
+from .geo import TileId, points_to_norm, tile_extent_m, tile_fraction, tile_origin
 from .model import Coord, Entity, Geometry, Tile
 from .seeds import pcg_for
 from .tef import tile_group
@@ -197,7 +197,11 @@ def clip_to_tile(entity: Entity, tid: TileId) -> tuple[list[Entity], int]:
     """Project a geographic-coordinate entity into tid's frame and clip it."""
     origin = tile_origin(tid)
     extent = tile_extent_m(tid)
-    local = entity.geometry.map(lambda p: geo_to_norm(p[0], p[1], origin, extent))
+    geom = entity.geometry
+    if geom.kind == "point":
+        local = Geometry("point", points_to_norm((geom.coords,), origin, extent)[0])
+    else:  # each polyline and ring in one pass
+        local = geom.map(lambda pts: points_to_norm(pts, origin, extent), depth=1)
     return clip_entity_unit(Entity(entity.id, entity.kind, entity.tags, local))
 
 

@@ -107,8 +107,10 @@ def _checked(value, lists: tuple, where: str) -> tuple:
         raise GeometryError(where, message)
     if len(lists) > 1:
         out = tuple(_checked(v, lists[1:], f"{where}[{i}]") for i, v in enumerate(value))
-    else:  # the path string is built only for a point that fails _pair
-        out = tuple(_pair(p) or coord(p, f"{where}[{i}]") for i, p in enumerate(value))
+    else:  # the path strings are built only for a list with a point that fails _pair
+        out = tuple(map(_pair, value))
+        if not all(out):
+            out = tuple(_pair(p) or coord(p, f"{where}[{i}]") for i, p in enumerate(value))
     if lists[0] is _RING and out[0] != out[-1]:
         raise GeometryError(where, "ring is not closed")
     return out

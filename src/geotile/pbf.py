@@ -12,8 +12,15 @@ the fault's offset in the block the blob decodes to.
 Header and blob sizes are held to the format's limits, and a compressed
 blob is inflated no further than its declared raw_size.
 
-The writer exists so tests and demos can author small fixture files; it
-emits a single zlib-compressed primitive block per call.
+Each packed field is decoded in one loop over its bytes, with no call per
+value, and encoded in one loop that takes each value's delta, zigzag and
+varint bytes together.  Ids are int64 as the format prescribes, so negative
+ids (which editors give objects not yet uploaded) are read and written.
+
+The writer exists so tests, demos and the benchmark can author fixture
+files; it emits a single zlib-compressed primitive block per call, and
+refuses with ValueError, before it opens the file, an id, reference or
+quantised coordinate, or a delta of one, that int64 cannot hold.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import logging
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +114,6 @@ def _uvarint(buf: bytes, i: int, base: int) -> tuple[int, int]:
             raise PbfError("varint too long", base + i)
 
 
-def _zigzag(n: int) -> int:
-    return (n >> 1) ^ -(n & 1)
-
-
 def _int64(n: int) -> int:
     """A varint read as protobuf int64: the low 64 bits in two's complement."""
     n &= (1 << 64) - 1
@@ -169,24 +173,39 @@ def _message(buf: bytes, base: int) -> dict[tuple[int, int], int | bytes | list[
 
 
 def _varints(m: dict, fnum: int) -> list[int]:
-    """A packed varint field, its copies' values in turn; empty when the message lacks it."""
+    """A packed varint field, its copies' values in turn; empty when the message lacks it.
+
+    Each copy is walked byte by byte in one loop; a copy with no byte over
+    0x7F is all one-byte varints and is taken whole.  A copy that ends inside
+    a varint, or holds one longer than _uvarint allows, is walked again by
+    _uvarint, which raises the same PbfError at the same offset.
+    """
     out = []
+    append = out.append
     for at, buf in m.get((fnum, 2), ()):
-        i = 0
-        while i < len(buf):
-            v, i = _uvarint(buf, i, at)
-            out.append(v)
+        if buf.isascii():
+            out += buf
+            continue
+        value = shift = 0
+        for b in buf:
+            if b < 0x80:
+                append(value | b << shift)
+                value = shift = 0
+            elif shift == 70:  # an 11th byte that does not end the varint
+                break
+            else:
+                value |= (b & 0x7F) << shift
+                shift += 7
+        if shift:
+            i = 0
+            while True:  # ends in _uvarint's error at the faulty varint
+                _, i = _uvarint(buf, i, at)
     return out
 
 
 def _delta_coded(m: dict, fnum: int) -> list[int]:
     """A packed sint64 field of deltas (ids, coordinates, member refs), summed back to values."""
-    out = []
-    acc = 0
-    for v in _varints(m, fnum):
-        acc += _zigzag(v)
-        out.append(acc)
-    return out
+    return list(accumulate([(v >> 1) ^ -(v & 1) for v in _varints(m, fnum)]))
 
 
 # ------------------------------------------------------------------- reading
@@ -214,7 +233,7 @@ def _tags(m: dict, table: list[str], base: int) -> tuple[tuple[str, str], ...]:
     return tuple((_string(table, k, base), _string(table, v, base)) for k, v in zip(keys, vals))
 
 
-def _dense(m: dict, table: list[str], coord, base: int) -> list[RawNode]:
+def _dense(m: dict, table: list[str], degrees, base: int) -> list[RawNode]:
     ids, lats, lons = (_delta_coded(m, fnum) for fnum in (1, 8, 9))
     keys_vals = _varints(m, 10)
     if not (len(ids) == len(lats) == len(lons)):
@@ -238,23 +257,21 @@ def _dense(m: dict, table: list[str], coord, base: int) -> list[RawNode]:
         raise PbfError("dense keys_vals not terminated", base)
     if tags_per_node and len(tags_per_node) != len(ids):
         raise PbfError("dense keys_vals does not cover all nodes", base)
-    return [
-        RawNode(nid, coord(lon, "lon"), coord(lat, "lat"), tags)
-        for nid, lon, lat, tags in zip(ids, lons, lats, tags_per_node or [()] * len(ids))
-    ]
+    lons, lats = degrees(lons, "lon"), degrees(lats, "lat")
+    return [RawNode(*node) for node in zip(ids, lons, lats, tags_per_node or [()] * len(ids))]
 
 
-def _node(m: dict, table: list[str], coord, base: int) -> RawNode:
+def _node(m: dict, table: list[str], degrees, base: int) -> RawNode:
     if not {(1, 0), (8, 0), (9, 0)} <= m.keys():
         raise PbfError("node missing id or coordinates", base)
-    lon, lat = coord(_zigzag(m[9, 0]), "lon"), coord(_zigzag(m[8, 0]), "lat")
-    return RawNode(_zigzag(m[1, 0]), lon, lat, _tags(m, table, base))
+    nid, lat, lon = ((v >> 1) ^ -(v & 1) for v in (m[1, 0], m[8, 0], m[9, 0]))  # sint64
+    return RawNode(nid, *degrees([lon], "lon"), *degrees([lat], "lat"), _tags(m, table, base))
 
 
 def _way(m: dict, table: list[str], base: int) -> RawWay:
     if (1, 0) not in m:
         raise PbfError("way missing id", base)
-    return RawWay(m[1, 0], tuple(_delta_coded(m, 8)), _tags(m, table, base))
+    return RawWay(_int64(m[1, 0]), tuple(_delta_coded(m, 8)), _tags(m, table, base))
 
 
 def _relation(m: dict, table: list[str], base: int) -> RawRelation:
@@ -268,7 +285,7 @@ def _relation(m: dict, table: list[str], base: int) -> RawRelation:
         if mtype >= len(MEMBER_TYPES):
             raise PbfError(f"unknown member type {mtype}", base)
         members.append((MEMBER_TYPES[mtype], ref, _string(table, role, base)))
-    return RawRelation(m[1, 0], tuple(members), _tags(m, table, base))
+    return RawRelation(_int64(m[1, 0]), tuple(members), _tags(m, table, base))
 
 
 def _parse_primitive_block(buf: bytes, out: PbfData) -> None:
@@ -284,8 +301,9 @@ def _parse_primitive_block(buf: bytes, out: PbfData) -> None:
     granularity = m.get((17, 0), DEFAULT_GRANULARITY)
     offsets = {"lat": _int64(m.get((19, 0), 0)), "lon": _int64(m.get((20, 0), 0))}
 
-    def coord(raw: int, axis: str) -> float:
-        return COORD_SCALE * (offsets[axis] + granularity * raw)
+    def degrees(raws: list[int], axis: str) -> list[float]:
+        offset = offsets[axis]
+        return [COORD_SCALE * (offset + granularity * raw) for raw in raws]
 
     for group_at, group in m.get((2, 2), ()):
         for fnum, wt, val, at in _fields(group, group_at):
@@ -293,9 +311,9 @@ def _parse_primitive_block(buf: bytes, out: PbfData) -> None:
                 continue
             element = _message(val, at)
             if fnum == 1:
-                out.nodes.append(_node(element, table, coord, at))
+                out.nodes.append(_node(element, table, degrees, at))
             elif fnum == 2:
-                out.nodes.extend(_dense(element, table, coord, at))
+                out.nodes.extend(_dense(element, table, degrees, at))
             elif fnum == 3:
                 out.ways.append(_way(element, table, at))
             else:
@@ -442,40 +460,62 @@ def _ev(fnum: int, value: int) -> bytes:
 
 
 def _uv(n: int) -> bytes:
+    """n as a varint; n must not be negative."""
+    return bytes((n,)) if n < 0x80 else bytes(_varint_bytes((n,)))
+
+
+def _varint_bytes(values) -> bytearray:
+    """Each of values as a varint, one after another, in one pass."""
     out = bytearray()
-    while True:
-        b = n & 0x7F
-        n >>= 7
-        if n:
-            out.append(b | 0x80)
-        else:
-            out.append(b)
-            return bytes(out)
-
-
-def _sv(n: int) -> bytes:
-    return _uv((n << 1) ^ (n >> 63) if n < 0 else n << 1)
+    append = out.append
+    for n in values:
+        while n > 0x7F:  # false for a negative n, which append then refuses
+            append(n & 0x7F | 0x80)
+            n >>= 7
+        append(n)
+    return out
 
 
 def _ld(fnum: int, payload: bytes) -> bytes:
     return _uv((fnum << 3) | 2) + _uv(len(payload)) + payload
 
 
-def _packed_s(fnum: int, values) -> bytes:
-    return _ld(fnum, b"".join(_sv(v) for v in values))
+def _packed_u(fnum: int, values: list[int]) -> bytes:
+    return _ld(fnum, bytes(values) if max(values, default=0) < 0x80 else _varint_bytes(values))
 
 
-def _packed_u(fnum: int, values) -> bytes:
-    return _ld(fnum, b"".join(_uv(v) for v in values))
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
-def _deltas(values) -> list[int]:
+def _packed_deltas(fnum: int, values: list[int], name) -> bytes:
+    """values as a packed sint64 field of their deltas, each from the value
+    before (the first from 0): zigzag and varint bytes in one pass.
+
+    A value or delta that int64 cannot hold raises ValueError, naming
+    values[i] by name(i), e.g. "way 7: ref".
+    """
+    lo, hi = min(values, default=0), max(values, default=0)
+    # No delta is wider than the span of the values and 0.
+    if not (_INT64_MIN <= lo and hi <= _INT64_MAX and max(hi, 0) - min(lo, 0) <= _INT64_MAX):
+        prev = 0
+        for i, v in enumerate(values):
+            if not _INT64_MIN <= v <= _INT64_MAX:
+                raise ValueError(f"{name(i)} {v} is outside int64")
+            if not _INT64_MIN <= v - prev <= _INT64_MAX:
+                raise ValueError(f"{name(i)} delta {v - prev} is outside int64")
+            prev = v
+    out = bytearray()
+    append = out.append
     prev = 0
-    out = []
     for v in values:
-        out.append(v - prev)
+        d = v - prev
         prev = v
-    return out
+        z = d << 1 if d >= 0 else ~(d << 1)  # zigzag: (d << 1) ^ (d >> 63)
+        while z > 0x7F:
+            append(z & 0x7F | 0x80)
+            z >>= 7
+        append(z)
+    return _ld(fnum, out)
 
 
 def write_pbf(path: str, nodes=(), ways=(), relations=()) -> None:
@@ -490,19 +530,25 @@ def write_pbf(path: str, nodes=(), ways=(), relations=()) -> None:
     def sid(s: str) -> int:
         return table.setdefault(s, len(table))
 
-    def head(element) -> bytes:
-        """A way's or relation's id, keys and vals."""
+    def head(kind: str, element) -> bytes:
+        """A way's or relation's id (int64, so a negative id takes ten bytes), keys and vals."""
+        if not _INT64_MIN <= element.id <= _INT64_MAX:
+            raise ValueError(f"{kind} {element.id}: id is outside int64")
         keys = [sid(k) for k, _ in element.tags]
         vals = [sid(v) for _, v in element.tags]
-        msg = _ev(1, element.id)
+        msg = _ev(1, element.id & ((1 << 64) - 1))
         return msg + _packed_u(2, keys) + _packed_u(3, vals) if keys else msg
 
     dense = b""
     nodes = sorted(nodes, key=lambda n: n.id)
     if nodes:
-        lats = [round(n.lat / (COORD_SCALE * DEFAULT_GRANULARITY)) for n in nodes]
-        lons = [round(n.lon / (COORD_SCALE * DEFAULT_GRANULARITY)) for n in nodes]
-        dense = _packed_s(1, _deltas(n.id for n in nodes)) + _packed_s(8, _deltas(lats)) + _packed_s(9, _deltas(lons))
+        step = COORD_SCALE * DEFAULT_GRANULARITY
+        for fnum, field_name, values in (
+            (1, "id", [n.id for n in nodes]),
+            (8, "lat", [round(n.lat / step) for n in nodes]),
+            (9, "lon", [round(n.lon / step) for n in nodes]),
+        ):
+            dense += _packed_deltas(fnum, values, lambda i: f"node {nodes[i].id}: {field_name}")
         if any(n.tags for n in nodes):
             keys_vals: list[int] = []
             for n in nodes:
@@ -510,11 +556,11 @@ def write_pbf(path: str, nodes=(), ways=(), relations=()) -> None:
                     keys_vals += (sid(k), sid(v))
                 keys_vals.append(0)
             dense += _packed_u(10, keys_vals)
-    way_msgs = [head(w) + _packed_s(8, _deltas(w.refs)) for w in ways]
+    way_msgs = [head("way", w) + _packed_deltas(8, w.refs, lambda i: f"way {w.id}: ref") for w in ways]
     rel_msgs = [
-        head(r)
+        head("relation", r)
         + _packed_u(8, [sid(role) for _, _, role in r.members])
-        + _packed_s(9, _deltas(ref for _, ref, _ in r.members))
+        + _packed_deltas(9, [ref for _, ref, _ in r.members], lambda i: f"relation {r.id}: member ref")
         + _packed_u(10, [MEMBER_TYPES.index(t) for t, _, _ in r.members])
         for r in relations
     ]

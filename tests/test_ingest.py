@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geotile.geo import MAX_LATITUDE, TileId, tile_bounds
+from geotile.geo import MAX_LATITUDE, METERS_PER_DEGREE, TileId, tile_bounds, tile_extent_m, tile_origin
 from geotile.ingest import (
     MAX_TILE_ENTITIES,
     MIN_TILE_ENTITIES,
@@ -13,6 +13,7 @@ from geotile.ingest import (
     clip_entity_unit,
     clip_polyline_unit,
     clip_ring_unit,
+    clip_to_tile,
     elements_to_entities,
     filter_outliers,
     group_tiles,
@@ -282,6 +283,65 @@ def test_candidate_tiles_match_bbox_oracle():
             for y in range(math.floor(y0 - 0.02), math.floor(y1 + 0.02) + 1)
         }
         assert got == want
+
+
+def _reference_clip_to_tile(entity, tid):
+    """clip_to_tile with the projection written out point by point: the
+    equirectangular metres about the tile's SW corner, then the division by
+    the tile's extent, in that order."""
+    olon, olat = tile_origin(tid)
+    extent = tile_extent_m(tid)
+
+    def project(p):
+        x = (p[0] - olon) * math.cos(math.radians(olat)) * METERS_PER_DEGREE
+        y = (p[1] - olat) * METERS_PER_DEGREE
+        return (x / extent, y / extent)
+
+    local = entity.geometry.map(project)
+    return clip_entity_unit(Entity(entity.id, entity.kind, entity.tags, local))
+
+
+def _hex_points(value):
+    """Nested coords with every float as its hex, so -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(_hex_points(v) for v in value)
+
+
+def test_clip_to_tile_equals_the_per_point_projection_bit_for_bit():
+    rng = np.random.default_rng(71)
+    b = tile_bounds(TileId(16, 18052, 25957))
+    corner = (b.east, b.north)  # four tiles meet here
+    size = b.north - b.south
+
+    def ring(scale, n, clockwise=False):
+        centre = (corner[0] + rng.uniform(-0.3, 0.3) * size, corner[1] + rng.uniform(-0.3, 0.3) * size)
+        pts = _star_polygon(rng, centre, scale * size, n)
+        pts = pts[::-1] if clockwise else pts
+        return pts + [pts[0]]
+
+    entities = []
+    for k in range(12):
+        walk = np.cumsum(rng.normal(0.0, 0.15 * size, size=(int(rng.integers(2, 40)), 2)), axis=0)
+        line = [(corner[0] + x, corner[1] + y) for x, y in walk.tolist()]
+        entities.append(Entity(k, "way", (("highway", "path"),), Geometry.polyline(line)))
+        outer = ring(0.8, int(rng.integers(3, 60)))
+        hole = ring(0.1, 5, clockwise=True)
+        entities.append(Entity(100 + k, "way", (), Geometry.polygon([outer, hole])))
+        entities.append(Entity(200 + k, "relation", (), Geometry.multipolygon([[outer], [ring(0.5, 12)]])))
+        p = (corner[0] + rng.uniform(-0.5, 0.5) * size, corner[1] + rng.uniform(-0.5, 0.5) * size)
+        entities.append(Entity(300 + k, "node", (("amenity", "bench"),), Geometry.point(p)))
+    crossings = 0
+    for entity in entities:
+        tiles = candidate_tiles(entity, 16)
+        crossings += len(tiles) > 1
+        for tid in tiles:
+            got, want = clip_to_tile(entity, tid), _reference_clip_to_tile(entity, tid)
+            assert got[1] == want[1]
+            assert [(e.id, e.kind, e.tags, e.geometry.kind, _hex_points(e.geometry.coords)) for e in got[0]] == [
+                (e.id, e.kind, e.tags, e.geometry.kind, _hex_points(e.geometry.coords)) for e in want[0]
+            ]
+    assert crossings >= 36  # the lines and rings cross tile edges
 
 
 # ------------------------------------------------------- element assembly

@@ -529,6 +529,255 @@ def test_fault_in_a_block_reports_its_offset_in_the_inflated_block(tmp_path, blo
     assert str(err.value) == f"{path}: {message} (at byte {at} of the block in the blob at byte {blob_start})"
 
 
+# ------------------------------------------------------ scalar references
+#
+# write_pbf and the packed-field decoders each walk a field in one loop; these
+# per-value forms are the encoding and decoding they must equal.
+
+
+def _reference_write(path, nodes=(), ways=(), relations=()):
+    """write_pbf one value at a time: deltas, then zigzag, then a varint per value."""
+    def deltas(values):
+        values = list(values)
+        return [v - p for v, p in zip(values, [0] + values[:-1])]
+
+    def packed_s(fnum, values):
+        return _ld(fnum, b"".join(_sv(v) for v in deltas(values)))
+
+    def packed_u(fnum, values):
+        return _ld(fnum, b"".join(_uv(v) for v in values))
+
+    table = {"": 0}
+
+    def sid(s):
+        return table.setdefault(s, len(table))
+
+    def head(element):
+        keys = [sid(k) for k, _ in element.tags]
+        vals = [sid(v) for _, v in element.tags]
+        msg = _varint_field(1, element.id & (2**64 - 1))  # int64
+        return msg + packed_u(2, keys) + packed_u(3, vals) if keys else msg
+
+    nodes = sorted(nodes, key=lambda n: n.id)
+    dense = b""
+    if nodes:
+        lats = [round(n.lat / (pbf.COORD_SCALE * pbf.DEFAULT_GRANULARITY)) for n in nodes]
+        lons = [round(n.lon / (pbf.COORD_SCALE * pbf.DEFAULT_GRANULARITY)) for n in nodes]
+        dense = packed_s(1, [n.id for n in nodes]) + packed_s(8, lats) + packed_s(9, lons)
+        if any(n.tags for n in nodes):
+            keys_vals = []
+            for n in nodes:
+                for k, v in n.tags:
+                    keys_vals += (sid(k), sid(v))
+                keys_vals.append(0)
+            dense += packed_u(10, keys_vals)
+    way_msgs = [head(w) + packed_s(8, w.refs) for w in ways]
+    rel_msgs = [
+        head(r)
+        + packed_u(8, [sid(role) for _, _, role in r.members])
+        + packed_s(9, [ref for _, ref, _ in r.members])
+        + packed_u(10, [pbf.MEMBER_TYPES.index(t) for t, _, _ in r.members])
+        for r in relations
+    ]
+    block = _ld(1, b"".join(_ld(1, s.encode("utf-8")) for s in table))
+    for fnum, msgs in ((2, [dense] if nodes else []), (3, way_msgs), (4, rel_msgs)):
+        if msgs:
+            block += _ld(2, b"".join(_ld(fnum, msg) for msg in msgs))
+    block += _varint_field(17, pbf.DEFAULT_GRANULARITY)
+    with open(path, "wb") as fh:
+        for blob_type, payload in (("OSMHeader", _ld(4, b"OsmSchema-V0.6") + _ld(4, b"DenseNodes")), ("OSMData", block)):
+            blob = _varint_field(2, len(payload)) + _ld(3, zlib.compress(payload))
+            header = _ld(1, blob_type.encode("utf-8")) + _varint_field(3, len(blob))
+            fh.write(struct.pack(">I", len(header)) + header + blob)
+
+
+def _reference_uvarint(buf, i, base):
+    """One varint at buf[i], as (value, next i); the per-value decode."""
+    result = shift = 0
+    while True:
+        if i >= len(buf):
+            raise PbfError("truncated varint", base + i)
+        b = buf[i]
+        i += 1
+        result |= (b & 0x7F) << shift
+        if not b & 0x80:
+            return result, i
+        shift += 7
+        if shift > 70:
+            raise PbfError("varint too long", base + i)
+
+
+def _reference_varints(copies):
+    out = []
+    for at, buf in copies:
+        i = 0
+        while i < len(buf):
+            v, i = _reference_uvarint(buf, i, at)
+            out.append(v)
+    return out
+
+
+def _random_elements(rng, n_nodes, n_strings):
+    """Nodes, ways and relations with ids of either sign, coordinates all over
+    the globe (so deltas of both signs and of one to five bytes), multi-byte
+    ids and refs, and tags drawn from n_strings strings."""
+    strings = [f"s{i}" for i in range(n_strings)]
+
+    def tags():
+        k = int(rng.integers(0, 4))
+        return tuple((str(rng.choice(strings)), str(rng.choice(strings))) for _ in range(k))
+
+    ids = list(dict.fromkeys(int(i) for i in rng.integers(-(1 << 40), 1 << 40, size=n_nodes)))
+    nodes = [RawNode(i, float(rng.uniform(-180, 180)), float(rng.uniform(-85, 85)), tags()) for i in ids]
+    ways = [
+        RawWay(int(rng.integers(-(1 << 62), 1 << 62)), tuple(int(r) for r in rng.choice(ids + [-3, 1 << 41], size=int(rng.integers(0, 9)))), tags())
+        for _ in range(25)
+    ]
+    relations = [
+        RawRelation(
+            int(rng.integers(-(1 << 62), 1 << 62)),
+            tuple(
+                (str(rng.choice(pbf.MEMBER_TYPES)), int(rng.integers(-(1 << 50), 1 << 50)), str(rng.choice(strings + [""])))
+                for _ in range(int(rng.integers(0, 6)))
+            ),
+            tags(),
+        )
+        for _ in range(8)
+    ]
+    return nodes, ways, relations
+
+
+@pytest.mark.parametrize("seed,n_nodes,n_strings", [
+    (1, 40, 5), (2, 300, 60), (3, 120, 400), (4, 0, 3), (5, 1, 1),
+], ids=["small-table", "many-nodes", "two-byte-tag-indices", "no-nodes", "one-untagged-string"])
+def test_writer_bytes_equal_the_per_value_reference(tmp_path, seed, n_nodes, n_strings):
+    rng = np.random.default_rng(seed)
+    nodes, ways, relations = _random_elements(rng, n_nodes, n_strings)
+    if n_strings > 127:
+        used = {s for e in nodes + ways + relations for kv in e.tags for s in kv}
+        assert len(used) > 127, "tag indices must reach two bytes"
+    fast, slow = tmp_path / "fast.pbf", tmp_path / "slow.pbf"
+    write_pbf(str(fast), nodes=nodes, ways=ways, relations=relations)
+    _reference_write(str(slow), nodes=nodes, ways=ways, relations=relations)
+    assert fast.read_bytes() == slow.read_bytes()
+    # Untagged nodes only: the dense block carries no keys_vals field.
+    untagged = [RawNode(n.id, n.lon, n.lat) for n in nodes]
+    write_pbf(str(fast), nodes=untagged, ways=ways[:3])
+    _reference_write(str(slow), nodes=untagged, ways=ways[:3])
+    assert fast.read_bytes() == slow.read_bytes()
+
+
+def _random_varint_bytes(rng, count):
+    """count varints of 1 to 11 bytes with random payloads, overlong forms included."""
+    out = bytearray()
+    for _ in range(count):
+        length = int(rng.choice([1, 1, 1, 2, 2, 3, 5, 10, 11]))
+        body = [int(b) | 0x80 for b in rng.integers(0, 256, size=length - 1)]
+        out += bytes(body) + bytes([int(rng.integers(0, 128))])
+    return bytes(out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_packed_decoders_equal_the_per_value_decode(seed):
+    rng = np.random.default_rng(100 + seed)
+    buf = _random_varint_bytes(rng, 400)
+    # The field in up to four copies, cut at random varint boundaries.
+    ends, i = [], 0
+    while i < len(buf):
+        _, i = _reference_uvarint(buf, i, 0)
+        ends.append(i)
+    cuts = sorted(int(c) for c in rng.choice(ends, size=min(3, len(ends)), replace=False))
+    copies = [(1000 * k + 7, buf[a:b]) for k, (a, b) in enumerate(zip([0] + cuts, cuts + [len(buf)]))]
+    ascii_copy = (50_000, bytes(int(b) for b in rng.integers(0, 128, size=64)))
+    for field in (copies, [ascii_copy], copies + [ascii_copy], [(3, b"")]):
+        want = _reference_varints(field)
+        assert pbf._varints({(8, 2): field}, 8) == want
+        zigzag = [(v >> 1) ^ -(v & 1) for v in want]
+        assert pbf._delta_coded({(8, 2): field}, 8) == [sum(zigzag[: k + 1]) for k in range(len(zigzag))]
+    assert pbf._varints({}, 8) == pbf._delta_coded({}, 8) == []
+
+
+@pytest.mark.parametrize("tail", [
+    b"\x80", b"\xff\xff", b"\x80" * 10, b"\x80" * 11, b"\x80" * 12 + b"\x01", b"\xff" * 20,
+], ids=["cut-1", "cut-2", "cut-10", "cut-11", "too-long-12", "too-long-20"])
+@pytest.mark.parametrize("head", [b"", b"\x05\x96\x01", b"\x05" * 30])
+def test_bad_varints_raise_the_per_value_error_at_the_same_offset(head, tail):
+    copies = [(40, b"\x01\x02"), (90, head + tail)]
+    with pytest.raises(PbfError) as want:
+        _reference_varints(copies)
+    for decode in (pbf._varints, pbf._delta_coded):
+        with pytest.raises(PbfError) as got:
+            decode({(9, 2): copies}, 9)
+        assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
+
+
+def test_eleven_byte_varint_ending_the_copy_is_read_like_the_per_value_decode():
+    buf = b"\xff" * 10 + b"\x7f"
+    assert pbf._varints({(1, 2): [(0, buf)]}, 1) == _reference_varints([(0, buf)]) == [(1 << 77) - 1]
+
+
+@pytest.mark.parametrize("element_id", [-1, -(2**63), 2**63 - 1])
+def test_int64_ids_of_either_sign_round_trip(tmp_path, element_id):
+    path = tmp_path / "ids.osm.pbf"
+    node = RawNode(element_id, 13.4, 52.5, (("amenity", "bench"),))
+    way = RawWay(element_id, (element_id, element_id), (("highway", "path"),))
+    relation = RawRelation(element_id, (("way", element_id, "outer"), ("node", element_id, "")), (("type", "route"),))
+    write_pbf(str(path), nodes=[node], ways=[way], relations=[relation])
+    data = read_pbf(str(path))
+    assert [n.id for n in data.nodes] == [element_id]
+    assert [(w.id, w.refs) for w in data.ways] == [(element_id, (element_id, element_id))]
+    assert [(r.id, r.members) for r in data.relations] == [(element_id, relation.members)]
+    slow = tmp_path / "slow.osm.pbf"
+    _reference_write(str(slow), nodes=[node], ways=[way], relations=[relation])
+    assert path.read_bytes() == slow.read_bytes()
+
+
+def test_way_and_relation_ids_are_read_as_int64(tmp_path):
+    # Protobuf writes int64 -5 as the ten-byte varint of its two's complement.
+    minus_five = (-5) & (2**64 - 1)
+    assert len(_uv(minus_five)) == 10
+    strings = _ld(1, b"") + _ld(1, b"outer")
+    dense = _ld(1, _sv(3)) + _ld(8, _sv(100)) + _ld(9, _sv(200))
+    way = _varint_field(1, minus_five) + _ld(8, _sv(3))
+    relation = _varint_field(1, minus_five) + _ld(8, _uv(1)) + _ld(9, _sv(-5)) + _ld(10, _uv(1))
+    block = _ld(1, strings) + _ld(2, _ld(2, dense)) + _ld(2, _ld(3, way)) + _ld(2, _ld(4, relation))
+    path = tmp_path / "neg.osm.pbf"
+    path.write_bytes(_header_blob() + _blob("OSMData", block))
+    data = read_pbf(str(path))
+    assert [w.id for w in data.ways] == [-5]
+    assert [(r.id, r.members) for r in data.relations] == [(-5, (("way", -5, "outer"),))]
+
+
+@pytest.mark.parametrize("elements,message", [
+    (dict(nodes=[RawNode(2**63, 0.0, 0.0)]), f"node {2**63}: id {2**63} is outside int64"),
+    (dict(nodes=[RawNode(-(2**63) - 1, 0.0, 0.0)]), f"node {-(2**63) - 1}: id {-(2**63) - 1} is outside int64"),
+    (dict(nodes=[RawNode(-1, 0.0, 0.0), RawNode(2**63 - 1, 0.0, 0.0)]),
+     f"node {2**63 - 1}: id delta {2**63} is outside int64"),
+    (dict(nodes=[RawNode(4, 0.0, 1e12)]), f"node 4: lat {round(1e12 / 1e-7)} is outside int64"),
+    (dict(nodes=[RawNode(4, -1e12, 0.0)]), f"node 4: lon {round(-1e12 / 1e-7)} is outside int64"),
+    (dict(ways=[RawWay(2**63, (1, 2))]), f"way {2**63}: id is outside int64"),
+    (dict(ways=[RawWay(7, (1, 2**64))]), f"way 7: ref {2**64} is outside int64"),
+    (dict(ways=[RawWay(7, (2**63 - 1, -2))]), f"way 7: ref delta {-(2**63) - 1} is outside int64"),
+    (dict(relations=[RawRelation(-(2**63) - 1, (("way", 1, ""),))]), f"relation {-(2**63) - 1}: id is outside int64"),
+    (dict(relations=[RawRelation(9, (("way", -(2**62), ""), ("node", 2**62, "")))]),
+     f"relation 9: member ref delta {2**63} is outside int64"),
+], ids=["node-id-high", "node-id-low", "node-id-delta", "lat", "lon", "way-id", "way-ref", "way-ref-delta",
+        "relation-id", "relation-ref-delta"])
+def test_values_outside_int64_are_refused_before_writing(tmp_path, elements, message):
+    path = tmp_path / "out.osm.pbf"
+    with pytest.raises(ValueError) as err:
+        write_pbf(str(path), **elements)
+    assert str(err.value) == message
+    assert not path.exists()
+
+
+def test_varint_of_a_negative_number_raises_instead_of_looping():
+    with pytest.raises(ValueError):
+        pbf._uv(-5)
+    with pytest.raises(ValueError):
+        pbf._varint_bytes([3, -(2**40)])
+
+
 def test_garbage_header_length_fails_fast(tmp_path):
     path = tmp_path / "bad.osm.pbf"
     path.write_bytes(struct.pack(">I", 10_000_000) + b"\x00" * 16)
