@@ -113,8 +113,7 @@ def points_to_norm(points, origin: tuple[float, float], extent_m: float) -> list
     """Each geographic (lon, lat) of points in normalised tile coordinates, in one pass.
 
     Equirectangular about the origin latitude (x east, y north, metres),
-    then divided by the tile extent, so (0, 0) is the SW corner.  This is
-    the one source of the projection; the per-point functions below call it.
+    then divided by the tile extent, so (0, 0) is the SW corner.
     """
     if extent_m <= 0:
         raise ValueError(f"extent must be positive, got {extent_m}")
@@ -126,19 +125,6 @@ def points_to_norm(points, origin: tuple[float, float], extent_m: float) -> list
     ]
 
 
-def project_local(lon: float, lat: float, origin: tuple[float, float]) -> tuple[float, float]:
-    """Project a geographic point into the local metric frame at `origin`
-    (a division by an extent of 1.0 changes no float)."""
-    return points_to_norm(((lon, lat),), origin, 1.0)[0]
-
-
-def normalize(xy_m: tuple[float, float], extent_m: float) -> tuple[float, float]:
-    """Componentwise division by the tile extent; (0,0) is the SW corner."""
-    if extent_m <= 0:
-        raise ValueError(f"extent must be positive, got {extent_m}")
-    return (xy_m[0] / extent_m, xy_m[1] / extent_m)
-
-
 def geo_to_norm(lon: float, lat: float, origin: tuple[float, float], extent_m: float) -> tuple[float, float]:
-    """Convenience: geographic degrees straight to normalised tile coordinates."""
+    """One geographic point in normalised tile coordinates (points_to_norm of one)."""
     return points_to_norm(((lon, lat),), origin, extent_m)[0]

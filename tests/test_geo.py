@@ -9,8 +9,7 @@ from geotile.geo import (
     METERS_PER_DEGREE,
     TileId,
     geo_to_norm,
-    normalize,
-    project_local,
+    points_to_norm,
     tile_bounds,
     tile_extent_m,
     tile_index,
@@ -87,16 +86,17 @@ def test_extent_near_300m_at_equator_zoom_17():
     assert 250 < tile_extent_m(t) < 350
 
 
-def test_project_local_origin_is_zero():
+def test_points_to_norm_origin_is_zero():
     origin = (-80.8374, 35.003)
-    assert project_local(origin[0], origin[1], origin) == (0.0, 0.0)
+    assert points_to_norm([origin, origin], origin, 611.5) == [(0.0, 0.0), (0.0, 0.0)]
 
 
-def test_project_local_shrinks_east_west_with_latitude():
+def test_points_to_norm_shrinks_east_west_with_latitude():
     dlon = 0.01
-    x_equator, _ = project_local(dlon, 0.0, (0.0, 0.0))
-    x_north, _ = project_local(dlon, 60.0, (0.0, 60.0))
+    (x_equator, _), = points_to_norm([(dlon, 0.0)], (0.0, 0.0), 1.0)
+    (x_north, _), = points_to_norm([(dlon, 60.0)], (0.0, 60.0), 1.0)
     assert x_north == pytest.approx(x_equator * math.cos(math.radians(60.0)), rel=1e-12)
+    assert x_equator == pytest.approx(dlon * METERS_PER_DEGREE, rel=1e-12)
 
 
 def test_normalize_unit_square_corners():
@@ -129,6 +129,9 @@ def test_normalized_coordinates_within_tolerance_band():
         assert -0.01 <= ny <= 1.01
 
 
-def test_normalize_rejects_degenerate_extent():
-    with pytest.raises(ValueError):
-        normalize((1.0, 1.0), 0.0)
+def test_points_to_norm_rejects_degenerate_extent():
+    for extent in (0.0, -1.0):
+        with pytest.raises(ValueError, match="extent must be positive"):
+            points_to_norm([(1.0, 1.0)], (0.0, 0.0), extent)
+        with pytest.raises(ValueError, match="extent must be positive"):
+            geo_to_norm(1.0, 1.0, (0.0, 0.0), extent)

@@ -748,13 +748,16 @@ def test_way_and_relation_ids_are_read_as_int64(tmp_path):
     assert [(r.id, r.members) for r in data.relations] == [(-5, (("way", -5, "outer"),))]
 
 
+_STEP = pbf.COORD_SCALE * pbf.DEFAULT_GRANULARITY
+
+
 @pytest.mark.parametrize("elements,message", [
     (dict(nodes=[RawNode(2**63, 0.0, 0.0)]), f"node {2**63}: id {2**63} is outside int64"),
     (dict(nodes=[RawNode(-(2**63) - 1, 0.0, 0.0)]), f"node {-(2**63) - 1}: id {-(2**63) - 1} is outside int64"),
     (dict(nodes=[RawNode(-1, 0.0, 0.0), RawNode(2**63 - 1, 0.0, 0.0)]),
      f"node {2**63 - 1}: id delta {2**63} is outside int64"),
-    (dict(nodes=[RawNode(4, 0.0, 1e12)]), f"node 4: lat {round(1e12 / 1e-7)} is outside int64"),
-    (dict(nodes=[RawNode(4, -1e12, 0.0)]), f"node 4: lon {round(-1e12 / 1e-7)} is outside int64"),
+    (dict(nodes=[RawNode(4, 0.0, 1e12)]), f"node 4: lat {round(1e12 / _STEP)} is outside int64"),
+    (dict(nodes=[RawNode(4, -1e12, 0.0)]), f"node 4: lon {round(-1e12 / _STEP)} is outside int64"),
     (dict(ways=[RawWay(2**63, (1, 2))]), f"way {2**63}: id is outside int64"),
     (dict(ways=[RawWay(7, (1, 2**64))]), f"way 7: ref {2**64} is outside int64"),
     (dict(ways=[RawWay(7, (2**63 - 1, -2))]), f"way 7: ref delta {-(2**63) - 1} is outside int64"),
