@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"geotile: {exc}\n")
         code = 1
     log.info("%s exited %d after %.3f s", args.command, code, time.perf_counter() - start)

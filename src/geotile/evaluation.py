@@ -43,7 +43,6 @@ def harmonic_mean(values: Sequence[float]) -> float:
 @dataclass
 class ScoreBoard:
     tasks: tuple[str, ...]
-    best: dict[str, float]  # task -> best (lowest) MAE
     ratios: dict[str, dict[str, float]]  # model -> task -> best/model
     scores: dict[str, float]  # model -> harmonic mean over tasks
 
@@ -71,7 +70,7 @@ def score_models(board: Mapping[str, Mapping[str, float]]) -> ScoreBoard:
             row[t] = 1.0 if value == best[t] else best[t] / value
         ratios[m] = row
         scores[m] = harmonic_mean(list(row.values()))
-    return ScoreBoard(tasks=tasks, best=best, ratios=ratios, scores=scores)
+    return ScoreBoard(tasks=tasks, ratios=ratios, scores=scores)
 
 
 def score_table(sb: ScoreBoard) -> str:
@@ -94,10 +93,12 @@ def knn(
     corpus: np.ndarray,
     k: int = KNN_DEFAULT_K,
     metric: str = "l2",
-    ids: Sequence[str] | None = None,
-    query_id: str | None = None,
+    *,
+    ids: Sequence[str],
+    query_id: str,
 ) -> list[tuple[str, float]]:
-    """Exact k nearest corpus rows; ties break by id order, self excluded.
+    """Exact k nearest corpus rows, named by ids; ties break by id order,
+    and the row named query_id is excluded.
 
     metric "l2" is Euclidean distance, "cosine" is 1 − cosine similarity.
     """
@@ -107,9 +108,7 @@ def knn(
     query = np.asarray(query, dtype=np.float64)
     if corpus.ndim != 2 or query.shape != (corpus.shape[1],):
         raise ValueError("query dimension must match corpus columns")
-    if ids is None:
-        ids = [str(i) for i in range(corpus.shape[0])]
-    elif len(ids) != corpus.shape[0]:
+    if len(ids) != corpus.shape[0]:
         raise ValueError("ids must match corpus rows")
     if metric == "l2":
         dists = np.sqrt(((corpus - query) ** 2).sum(axis=1))

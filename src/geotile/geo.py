@@ -124,7 +124,3 @@ def points_to_norm(points, origin: tuple[float, float], extent_m: float) -> list
         for lon, lat in points
     ]
 
-
-def geo_to_norm(lon: float, lat: float, origin: tuple[float, float], extent_m: float) -> tuple[float, float]:
-    """One geographic point in normalised tile coordinates (points_to_norm of one)."""
-    return points_to_norm(((lon, lat),), origin, extent_m)[0]

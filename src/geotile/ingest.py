@@ -201,7 +201,7 @@ def clip_to_tile(entity: Entity, tid: TileId) -> tuple[list[Entity], int]:
     if geom.kind == "point":
         local = Geometry("point", points_to_norm((geom.coords,), origin, extent)[0])
     else:  # each polyline and ring in one pass
-        local = geom.map(lambda pts: points_to_norm(pts, origin, extent), depth=1)
+        local = geom.map(lambda pts: points_to_norm(pts, origin, extent))
     return clip_entity_unit(Entity(entity.id, entity.kind, entity.tags, local))
 
 

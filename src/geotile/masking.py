@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import json
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,8 +18,6 @@ import numpy as np
 
 from .seeds import rng_for
 from .tokens import TokenBatch
-
-log = logging.getLogger(__name__)
 
 STRATEGY_RANDOM = "random"
 STRATEGY_AREA = "area"
@@ -71,9 +68,7 @@ class MaskPlan:
     fallbacks: int = 0  # unimodal samples rerouted to the random strategy
 
 
-def _keys(valid_lens: Sequence[int], sample_keys: Sequence[str] | None) -> list[str]:
-    if sample_keys is None:
-        return [str(i) for i in range(len(valid_lens))]
+def _keys(valid_lens: Sequence[int], sample_keys: Sequence[str]) -> list[str]:
     if len(sample_keys) != len(valid_lens):
         raise ValueError("sample_keys must match valid_lens")
     return list(sample_keys)
@@ -104,7 +99,7 @@ def random_mask(
     ratio: float,
     num_targets: int,
     seed: int,
-    sample_keys: Sequence[str] | None = None,
+    sample_keys: Sequence[str],
 ) -> MaskPlan:
     """Independent without-replacement token draws; targets may overlap."""
     plan = MaskPlan(strategy=STRATEGY_RANDOM)
@@ -127,7 +122,7 @@ def area_mask(
     num_targets: int,
     aspect_range: tuple[float, float],
     seed: int,
-    sample_keys: Sequence[str] | None = None,
+    sample_keys: Sequence[str],
 ) -> MaskPlan:
     """Targets are tokens whose box centre falls strictly inside a sampled box.
 
@@ -162,7 +157,7 @@ def modality_mask(
     modalities: np.ndarray,
     valid_lens: Sequence[int],
     seed: int,
-    sample_keys: Sequence[str] | None = None,
+    sample_keys: Sequence[str],
 ) -> MaskPlan:
     """Keep one modality as context, target the rest; unimodal falls back to random.
 
@@ -175,7 +170,6 @@ def modality_mask(
         mods = modalities[i, :n]
         present = np.unique(mods).tolist()
         if len(present) < 2:
-            log.debug("sample %s is unimodal; falling back to random masking", key)
             plan.samples.append(_random_sample(key, n, RANDOM_RATIO, RANDOM_NUM_TARGETS, seed))
             plan.fallbacks += 1
             continue

@@ -7,7 +7,9 @@ arrays at their boundaries.
 The geometry schema lives here too.  Geometry.of checks the nesting by
 kind, the minimum list lengths, closed rings and finite numbers; the four
 kind constructors, the TEF decoder and process all build through it, and
-its GeometryError names the place below coords that fails.
+its GeometryError names the place below coords that fails.  Geometry.map
+applies one function to every polyline and ring, which is how ingest
+projects a geometry into its tile and process simplifies it.
 """
 
 from __future__ import annotations
@@ -85,19 +87,6 @@ _LISTS = {
     "multipolygon": ((1, "multipolygon needs at least one polygon"), _POLYGON, _RING),
 }
 
-# Nesting depth of Geometry.coords by kind: 0 is one point, 1 a point list.
-_DEPTH = {kind: len(lists) for kind, lists in _LISTS.items()}
-
-
-def _walk(value, level: int, depth: int, fn: Callable):
-    """value, nested level deep, with fn applied to each part nested depth
-    deep.  A module function: a closure that called itself would make a
-    reference cycle on every Geometry.map."""
-    if level == depth:
-        return fn(value)
-    return tuple(_walk(v, level - 1, depth, fn) for v in value)
-
-
 def _checked(value, lists: tuple, where: str) -> tuple:
     """value as nested tuples of floats, each list checked against lists."""
     if not lists:
@@ -155,14 +144,16 @@ class Geometry:
     def multipolygon(polygons: Sequence) -> "Geometry":
         return Geometry.of("multipolygon", polygons)
 
-    def map(self, fn: Callable, depth: int = 0) -> "Geometry":
-        """The same kind with fn applied to every point (depth 0) or to every
-        polyline and ring (depth 1); a point has no depth-1 part and is
-        returned as is.  The result is not validated.
-        """
-        if _DEPTH[self.kind] < depth:
-            return self
-        return Geometry(self.kind, _walk(self.coords, _DEPTH[self.kind], depth, fn))
+    def map(self, fn: Callable) -> "Geometry":
+        """The same kind with fn applied to every polyline and ring; a point
+        is returned as is.  The result is not validated."""
+        if self.kind == "polyline":
+            return Geometry(self.kind, fn(self.coords))
+        if self.kind == "polygon":
+            return Geometry(self.kind, tuple(map(fn, self.coords)))
+        if self.kind == "multipolygon":
+            return Geometry(self.kind, tuple(tuple(map(fn, poly)) for poly in self.coords))
+        return self
 
     def rings(self) -> tuple[Ring, ...]:
         """All rings regardless of polygon membership (empty for non-areal kinds)."""

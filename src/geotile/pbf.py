@@ -15,7 +15,11 @@ blob is inflated no further than its declared raw_size.
 Each packed field is decoded in one loop over its bytes, with no call per
 value, and encoded in one loop that takes each value's delta, zigzag and
 varint bytes together.  Ids are int64 as the format prescribes, so negative
-ids (which editors give objects not yet uploaded) are read and written.
+ids (which editors give objects not yet uploaded) are read and written; an
+id, reference or coordinate that decodes to a value int64 cannot hold raises
+PbfError at its element, checked with one min and one max per field.
+Elements are read into named tuples (RawNode, RawWay, RawRelation), which
+cost less to build per element than frozen dataclasses.
 
 The writer exists so tests, demos and the benchmark can author fixture
 files; it emits a single zlib-compressed primitive block per call, and
@@ -30,6 +34,7 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import accumulate
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
@@ -62,24 +67,21 @@ class PbfError(ValueError):
         self.block_offset = block_offset
 
 
-@dataclass(frozen=True)
-class RawNode:
+class RawNode(NamedTuple):
     id: int
     lon: float
     lat: float
     tags: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class RawWay:
+class RawWay(NamedTuple):
     id: int
     refs: tuple[int, ...]
     tags: tuple[tuple[str, str], ...] = ()
     coords: tuple[tuple[float, float], ...] = ()
 
 
-@dataclass(frozen=True)
-class RawRelation:
+class RawRelation(NamedTuple):
     id: int
     members: tuple[tuple[str, int, str], ...]  # (type, ref, role)
     tags: tuple[tuple[str, str], ...] = ()
@@ -112,6 +114,9 @@ def _uvarint(buf: bytes, i: int, base: int) -> tuple[int, int]:
         shift += 7
         if shift > 70:
             raise PbfError("varint too long", base + i)
+
+
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def _int64(n: int) -> int:
@@ -203,9 +208,13 @@ def _varints(m: dict, fnum: int) -> list[int]:
     return out
 
 
-def _delta_coded(m: dict, fnum: int) -> list[int]:
-    """A packed sint64 field of deltas (ids, coordinates, member refs), summed back to values."""
-    return list(accumulate([(v >> 1) ^ -(v & 1) for v in _varints(m, fnum)]))
+def _delta_coded(m: dict, fnum: int, what: str, base: int) -> list[int]:
+    """A packed sint64 field of deltas (ids, coordinates, member refs), summed
+    back to values; a sum that int64 cannot hold raises PbfError naming what."""
+    values = list(accumulate([(v >> 1) ^ -(v & 1) for v in _varints(m, fnum)]))
+    if values and not (_INT64_MIN <= min(values) and max(values) <= _INT64_MAX):
+        raise PbfError(f"{what} is outside int64", base)
+    return values
 
 
 # ------------------------------------------------------------------- reading
@@ -233,8 +242,12 @@ def _tags(m: dict, table: list[str], base: int) -> tuple[tuple[str, str], ...]:
     return tuple((_string(table, k, base), _string(table, v, base)) for k, v in zip(keys, vals))
 
 
+# A node's sint64 fields, dense or plain: (field number, name).
+_NODE_FIELDS = ((1, "id"), (8, "lat"), (9, "lon"))
+
+
 def _dense(m: dict, table: list[str], degrees, base: int) -> list[RawNode]:
-    ids, lats, lons = (_delta_coded(m, fnum) for fnum in (1, 8, 9))
+    ids, lats, lons = (_delta_coded(m, fnum, f"node {name}", base) for fnum, name in _NODE_FIELDS)
     keys_vals = _varints(m, 10)
     if not (len(ids) == len(lats) == len(lons)):
         raise PbfError("dense node arrays disagree on length", base)
@@ -258,12 +271,15 @@ def _dense(m: dict, table: list[str], degrees, base: int) -> list[RawNode]:
     if tags_per_node and len(tags_per_node) != len(ids):
         raise PbfError("dense keys_vals does not cover all nodes", base)
     lons, lats = degrees(lons, "lon"), degrees(lats, "lat")
-    return [RawNode(*node) for node in zip(ids, lons, lats, tags_per_node or [()] * len(ids))]
+    return list(map(RawNode, ids, lons, lats, tags_per_node or [()] * len(ids)))
 
 
 def _node(m: dict, table: list[str], degrees, base: int) -> RawNode:
     if not {(1, 0), (8, 0), (9, 0)} <= m.keys():
         raise PbfError("node missing id or coordinates", base)
+    for fnum, name in _NODE_FIELDS:
+        if m[fnum, 0] >> 64:  # zigzag maps the varints below 2**64, and only those, onto int64
+            raise PbfError(f"node {name} is outside int64", base)
     nid, lat, lon = ((v >> 1) ^ -(v & 1) for v in (m[1, 0], m[8, 0], m[9, 0]))  # sint64
     return RawNode(nid, *degrees([lon], "lon"), *degrees([lat], "lat"), _tags(m, table, base))
 
@@ -271,13 +287,13 @@ def _node(m: dict, table: list[str], degrees, base: int) -> RawNode:
 def _way(m: dict, table: list[str], base: int) -> RawWay:
     if (1, 0) not in m:
         raise PbfError("way missing id", base)
-    return RawWay(_int64(m[1, 0]), tuple(_delta_coded(m, 8)), _tags(m, table, base))
+    return RawWay(_int64(m[1, 0]), tuple(_delta_coded(m, 8, "way ref", base)), _tags(m, table, base))
 
 
 def _relation(m: dict, table: list[str], base: int) -> RawRelation:
     if (1, 0) not in m:
         raise PbfError("relation missing id", base)
-    roles, memids, types = _varints(m, 8), _delta_coded(m, 9), _varints(m, 10)
+    roles, memids, types = _varints(m, 8), _delta_coded(m, 9, "relation member ref", base), _varints(m, 10)
     if not (len(roles) == len(memids) == len(types)):
         raise PbfError("relation member arrays disagree on length", base)
     members = []
@@ -426,7 +442,6 @@ def _resolve(out: PbfData) -> None:
             coords = tuple(node_xy[r] for r in way.refs)
         except KeyError:
             out.dropped_ways += 1
-            log.debug("way %d dropped: unresolved node reference", way.id)
             continue
         resolved_ways.append(RawWay(way.id, way.refs, way.tags, coords))
         way_ids.add(way.id)
@@ -448,7 +463,6 @@ def _resolve(out: PbfData) -> None:
             resolved_rels.append(RawRelation(rel.id, tuple(members), rel.tags))
         else:
             out.dropped_relations += 1
-            log.debug("relation %d dropped: no resolvable members", rel.id)
     out.relations = resolved_rels
 
 
@@ -482,9 +496,6 @@ def _ld(fnum: int, payload: bytes) -> bytes:
 
 def _packed_u(fnum: int, values: list[int]) -> bytes:
     return _ld(fnum, bytes(values) if max(values, default=0) < 0x80 else _varint_bytes(values))
-
-
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
 
 
 def _packed_deltas(fnum: int, values: list[int], name) -> bytes:

@@ -32,7 +32,7 @@ def simplify_geometry(geom: Geometry, eps: float) -> Geometry:
         slim = douglas_peucker(line, eps)
         return slim if len(slim) >= min_len else line
 
-    return Geometry.of(geom.kind, geom.map(simplify, depth=1).coords)
+    return Geometry.of(geom.kind, geom.map(simplify).coords)
 
 
 def process_entity(entity: Entity, tile: Tile, eps_norm: float, seed: int) -> Entity:

@@ -50,9 +50,6 @@ class TagPattern:
         key, value = text.split("=", 1)
         return cls(key, value)
 
-    def __str__(self) -> str:
-        return f"{self.key}={self.value}"
-
 
 @dataclass(frozen=True)
 class MaskRule:
@@ -281,7 +278,6 @@ def apply_mask(tile: Tile, spec: TaskSpec) -> Tile:
 
 @dataclass
 class TaskResult:
-    spec: TaskSpec
     labels: dict[str, float] = field(default_factory=dict)  # tile id -> label
     pruned: int = 0
     rebalance_dropped: int = 0
@@ -295,7 +291,7 @@ def synthesize_task(tiles: Sequence[Tile], spec: TaskSpec, seed: int = 0) -> Tas
     with the configured probability, so results depend only on the seed and
     the tile ids.
     """
-    result = TaskResult(spec=spec)
+    result = TaskResult()
     labelled: list[tuple[str, float]] = []
     for tile in sorted(tiles, key=lambda t: t.id.key):
         label = compute_label(tile, spec, result.diagnostics)

@@ -2,8 +2,9 @@
 
 The writer emits a canonical form (fixed key order, no whitespace, floats in
 shortest round-trip notation) so write -> parse -> write is byte-identical.
-Parsing validates the schema and reports the line number and field path of
-the first violation.  The geometry schema is model's: Geometry.of checks
+Parsing (parse_tef_lines, over the UTF-8 byte lines of a group file)
+validates the schema and reports the line number and field path of the
+first violation.  The geometry schema is model's: Geometry.of checks
 coordinates, and its errors are reported here at their TEF field path.
 
 A store is a directory of ``<zoom>_<gx>_<gy>.tefgz`` files, each holding the
@@ -215,15 +216,14 @@ def tile_from_json(line: str, lineno: int | None = None) -> Tile:
     return Tile(id=tid, origin=origin, extent_m=extent, entities=tuple(entities))
 
 
-def parse_tef_lines(lines: Iterable[str | bytes]) -> Iterator[Tile]:
-    """Tiles of TEF lines given as text or as UTF-8 bytes."""
+def parse_tef_lines(lines: Iterable[bytes]) -> Iterator[Tile]:
+    """Tiles of TEF lines given as UTF-8 bytes."""
     seen: set[str] = set()
-    for lineno, line in enumerate(lines, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise _fail("tile", f"invalid UTF-8 at byte {exc.start}", lineno) from None
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _fail("tile", f"invalid UTF-8 at byte {exc.start}", lineno) from None
         if not line.strip():
             continue
         tile = tile_from_json(line, lineno)

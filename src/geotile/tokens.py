@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,24 +34,9 @@ class TokenError(ValueError):
 
 @dataclass(frozen=True)
 class TagVocab:
-    """Ordered canonical key=value strings with a reverse index."""
+    """Ordered canonical key=value strings, most frequent first."""
 
     tags: tuple[str, ...]
-    index: Mapping[str, int] = field(repr=False, default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.index is None:
-            object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tags)})
-        if len(self.index) != len(self.tags):
-            raise ValueError("vocabulary entries must be unique")
-        if len(self.tags) > VOCAB_MAX_SIZE:
-            raise ValueError(f"vocabulary exceeds {VOCAB_MAX_SIZE} entries")
-
-    def __len__(self) -> int:
-        return len(self.tags)
-
-    def __contains__(self, tag: str) -> bool:
-        return tag in self.index
 
 
 def prune_vocab(counts: Mapping[str, int]) -> TagVocab:

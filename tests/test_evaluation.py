@@ -71,19 +71,19 @@ def test_harmonic_mean():
 
 def test_score_models_frozen_top_row():
     sb = score_models(BOARD)
-    assert sb.best == {"buildings": 3.86, "max_speed": 11.5, "signals": 1.01,
-                       "bridge": 0.10, "car_bridge": 0.10}
     assert sb.scores["pool-baseline"] == 0.8433333915947075
     assert sb.ratios["pool-baseline"]["bridge"] == 1.0
     assert sb.ratios["pool-baseline"]["signals"] == 1.0
     assert sb.ratios["ae-baseline"]["buildings"] == 1.0
     assert sb.ratios["model-t"]["max_speed"] == 1.0
-    # every other ratio is a strict improvement factor below 1
+    # the best (lowest) MAE of each task scores 1; every other ratio is a
+    # strict improvement factor below 1
+    best = {"buildings": 3.86, "max_speed": 11.5, "signals": 1.01, "bridge": 0.10, "car_bridge": 0.10}
     for m, row in sb.ratios.items():
+        assert row.keys() == best.keys()
         for t, r in row.items():
             assert 0.0 < r <= 1.0
-            if BOARD[m][t] != sb.best[t]:
-                assert r < 1.0
+            assert (r == 1.0) == (BOARD[m][t] == best[t])
 
 
 def test_score_models_scale_invariant_per_task():
@@ -136,7 +136,7 @@ def test_knn_matches_bruteforce_oracle():
         corpus = rng.normal(size=(n, d))
         q = rng.normal(size=d)
         k = int(rng.integers(1, 8))
-        got = knn(q, corpus, k=k)
+        got = knn(q, corpus, k=k, ids=[str(i) for i in range(n)], query_id="q")
         want = sorted(
             ((float(np.sqrt(((corpus[i] - q) ** 2).sum())), str(i)) for i in range(n)),
             key=lambda item: (item[0], item[1]),
@@ -154,7 +154,7 @@ def test_knn_excludes_self_by_id():
 
 def test_knn_cosine_metric():
     corpus = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, 0.0]])
-    hits = knn(np.array([2.0, 0.0]), corpus, k=4, metric="cosine")
+    hits = knn(np.array([2.0, 0.0]), corpus, k=4, metric="cosine", ids=list("0123"), query_id="q")
     assert [h[0] for h in hits] == ["0", "1", "3", "2"]
     assert hits[0][1] == 0.0  # parallel
     assert hits[1][1] == 1.0  # orthogonal
@@ -167,9 +167,11 @@ def test_knn_validation():
     with pytest.raises(ValueError, match="at least"):
         knn(np.zeros(2), corpus, k=3, ids=["a", "b", "c"], query_id="a")
     with pytest.raises(ValueError, match="dimension"):
-        knn(np.zeros(3), corpus, k=1)
+        knn(np.zeros(3), corpus, k=1, ids=list("abc"), query_id="q")
     with pytest.raises(ValueError, match="metric"):
-        knn(np.zeros(2), corpus, k=1, metric="manhattan")
+        knn(np.zeros(2), corpus, k=1, metric="manhattan", ids=list("abc"), query_id="q")
+    with pytest.raises(ValueError, match="ids must match"):
+        knn(np.zeros(2), corpus, k=1, ids=["a", "b"], query_id="q")
     assert KNN_DEFAULT_K == 8
 
 

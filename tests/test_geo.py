@@ -8,7 +8,6 @@ from geotile.geo import (
     MAX_LATITUDE,
     METERS_PER_DEGREE,
     TileId,
-    geo_to_norm,
     points_to_norm,
     tile_bounds,
     tile_extent_m,
@@ -105,8 +104,8 @@ def test_normalize_unit_square_corners():
     origin = tile_origin(t)
     extent = tile_extent_m(t)
     # South-west corner lands at (0, 0), the north edge at y = 1 exactly.
-    assert geo_to_norm(b.west, b.south, origin, extent) == (0.0, 0.0)
-    x, y = geo_to_norm(b.east, b.north, origin, extent)
+    sw, (x, y) = points_to_norm([(b.west, b.south), (b.east, b.north)], origin, extent)
+    assert sw == (0.0, 0.0)
     assert y == pytest.approx(1.0, abs=1e-12)
     # The east edge overshoots 1 slightly because the equirectangular x
     # uses the origin latitude; the overshoot stays under one percent.
@@ -124,7 +123,7 @@ def test_normalized_coordinates_within_tolerance_band():
         extent = tile_extent_m(t)
         lon = rng.uniform(b.west, b.east)
         lat = rng.uniform(b.south, b.north)
-        nx, ny = geo_to_norm(lon, lat, origin, extent)
+        (nx, ny), = points_to_norm([(lon, lat)], origin, extent)
         assert -0.01 <= nx <= 1.01
         assert -0.01 <= ny <= 1.01
 
@@ -133,5 +132,3 @@ def test_points_to_norm_rejects_degenerate_extent():
     for extent in (0.0, -1.0):
         with pytest.raises(ValueError, match="extent must be positive"):
             points_to_norm([(1.0, 1.0)], (0.0, 0.0), extent)
-        with pytest.raises(ValueError, match="extent must be positive"):
-            geo_to_norm(1.0, 1.0, (0.0, 0.0), extent)

@@ -402,33 +402,27 @@ def test_ring_closing_points_leave_the_box_unchanged():
         assert geometry_min_box(geom) == min_area_box(distinct)
 
 
-def test_geometry_map_on_every_kind_at_both_depths():
+def test_geometry_map_on_every_kind():
     ring = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0))
     hole = ((0.2, 0.2), (0.4, 0.2), (0.4, 0.4), (0.2, 0.2))
 
-    def shift(p):
-        return (p[0] + 1.0, p[1] * 2.0)
-
     def shifted(line):
-        return tuple(shift(p) for p in line)
+        return tuple((x + 1.0, y * 2.0) for x, y in line)
 
     point = Geometry.point((0.5, 0.25))
-    assert point.map(shift) == Geometry("point", (1.5, 0.5))
-    assert point.map(shifted, depth=1) is point
+    assert point.map(shifted) is point
 
     line = Geometry.polyline([(0.0, 0.0), (0.5, 0.5)])
-    assert line.map(shift) == Geometry("polyline", ((1.0, 0.0), (1.5, 1.0)))
-    assert line.map(len, depth=1) == Geometry("polyline", 2)
+    assert line.map(shifted) == Geometry("polyline", ((1.0, 0.0), (1.5, 1.0)))
+    assert line.map(len) == Geometry("polyline", 2)
 
     poly = Geometry.polygon([ring, hole])
-    assert poly.map(shift) == Geometry.polygon([shifted(ring), shifted(hole)])
-    assert poly.map(shifted, depth=1) == poly.map(shift)
-    assert poly.map(len, depth=1) == Geometry("polygon", (4, 4))
+    assert poly.map(shifted) == Geometry.polygon([shifted(ring), shifted(hole)])
+    assert poly.map(len) == Geometry("polygon", (4, 4))
 
     multi = Geometry.multipolygon([[ring, hole], [hole]])
-    assert multi.map(shift) == Geometry.multipolygon([[shifted(ring), shifted(hole)], [shifted(hole)]])
-    assert multi.map(shifted, depth=1) == multi.map(shift)
-    assert multi.map(len, depth=1) == Geometry("multipolygon", ((4, 4), (4,)))
+    assert multi.map(shifted) == Geometry.multipolygon([[shifted(ring), shifted(hole)], [shifted(hole)]])
+    assert multi.map(len) == Geometry("multipolygon", ((4, 4), (4,)))
 
 
 def test_geometry_map_leaves_no_reference_cycle():
@@ -436,8 +430,8 @@ def test_geometry_map_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        for depth in range(1000):
-            multi.map(tuple, depth=depth % 3)
+        for _ in range(1000):
+            multi.map(tuple)
         unreachable = gc.collect()
     finally:
         gc.enable()

@@ -297,7 +297,11 @@ def _reference_clip_to_tile(entity, tid):
         y = (p[1] - olat) * METERS_PER_DEGREE
         return (x / extent, y / extent)
 
-    local = entity.geometry.map(project)
+    geom = entity.geometry
+    if geom.kind == "point":
+        local = Geometry("point", project(geom.coords))
+    else:
+        local = geom.map(lambda line: tuple(map(project, line)))
     return clip_entity_unit(Entity(entity.id, entity.kind, entity.tags, local))
 
 

@@ -40,18 +40,22 @@ def _uniform_batch(n, length, d=3, seed=0):
 # ------------------------------------------------------------ random masks
 
 
+def _keys(n):
+    return [str(i) for i in range(n)]
+
+
 def test_random_mask_target_sizes_round_half_up():
-    plan = random_mask([10], 0.45, 4, seed=0)
+    plan = random_mask([10], 0.45, 4, seed=0, sample_keys=["0"])
     assert [len(t) for t in plan.samples[0].targets] == [5, 5, 5, 5]
-    lifted = random_mask([5], 0.05, 4, seed=0)
+    lifted = random_mask([5], 0.05, 4, seed=0, sample_keys=["0"])
     assert [len(t) for t in lifted.samples[0].targets] == [1, 1, 1, 1]
-    floor = random_mask([4], 0.05, 4, seed=0)
+    floor = random_mask([4], 0.05, 4, seed=0, sample_keys=["0"])
     assert [len(t) for t in floor.samples[0].targets] == [0, 0, 0, 0]
     assert floor.samples[0].context == (0, 1, 2, 3)
 
 
 def test_random_mask_partitions_tokens():
-    plan = random_mask([30] * 20, 0.45, 4, seed=5)
+    plan = random_mask([30] * 20, 0.45, 4, seed=5, sample_keys=_keys(20))
     for s in plan.samples:
         covered = set()
         for t in s.targets:
@@ -63,7 +67,7 @@ def test_random_mask_partitions_tokens():
 
 
 def test_random_mask_context_fraction_before_floor():
-    plan = random_mask([201] * 2000, 0.45, 4, seed=99)
+    plan = random_mask([201] * 2000, 0.45, 4, seed=99, sample_keys=_keys(2000))
     mean = float(np.mean([s.context_fraction() for s in plan.samples]))
     assert abs(mean - 0.55**4) < 0.01
     assert 0.55**4 == 0.09150625000000003
@@ -80,7 +84,14 @@ def test_random_mask_keyed_by_sample_not_position():
 
 def test_random_mask_rejects_empty_sample():
     with pytest.raises(ValueError, match="valid token"):
-        random_mask([0], 0.45, 4, seed=0)
+        random_mask([0], 0.45, 4, seed=0, sample_keys=["0"])
+
+
+def test_masks_need_one_key_per_sample():
+    with pytest.raises(ValueError, match="sample_keys must match valid_lens"):
+        random_mask([5, 5], 0.45, 4, seed=0, sample_keys=["a"])
+    with pytest.raises(ValueError, match="sample_keys must match valid_lens"):
+        modality_mask(np.ones((1, 5), dtype=np.int32), [5], seed=0, sample_keys=["a", "b"])
 
 
 # -------------------------------------------------------------- area masks
@@ -417,7 +428,7 @@ def test_compact_pads_missing_target_slots():
 
 def test_compact_requires_full_plan():
     batch = _uniform_batch(3, 8, seed=0)
-    plan = random_mask([8], 0.45, 2, seed=0)
+    plan = random_mask([8], 0.45, 2, seed=0, sample_keys=["0"])
     with pytest.raises(ValueError, match="cover"):
         compact(batch, plan)
 

@@ -667,11 +667,11 @@ def test_writer_bytes_equal_the_per_value_reference(tmp_path, seed, n_nodes, n_s
     assert fast.read_bytes() == slow.read_bytes()
 
 
-def _random_varint_bytes(rng, count):
-    """count varints of 1 to 11 bytes with random payloads, overlong forms included."""
+def _random_varint_bytes(rng, count, lengths=(1, 1, 1, 2, 2, 3, 5, 10, 11)):
+    """count varints of one of lengths bytes with random payloads, overlong forms included."""
     out = bytearray()
     for _ in range(count):
-        length = int(rng.choice([1, 1, 1, 2, 2, 3, 5, 10, 11]))
+        length = int(rng.choice(lengths))
         body = [int(b) | 0x80 for b in rng.integers(0, 256, size=length - 1)]
         out += bytes(body) + bytes([int(rng.integers(0, 128))])
     return bytes(out)
@@ -689,12 +689,20 @@ def test_packed_decoders_equal_the_per_value_decode(seed):
     cuts = sorted(int(c) for c in rng.choice(ends, size=min(3, len(ends)), replace=False))
     copies = [(1000 * k + 7, buf[a:b]) for k, (a, b) in enumerate(zip([0] + cuts, cuts + [len(buf)]))]
     ascii_copy = (50_000, bytes(int(b) for b in rng.integers(0, 128, size=64)))
-    for field in (copies, [ascii_copy], copies + [ascii_copy], [(3, b"")]):
+    # Varints of at most 8 bytes (56 bits) sum to values inside int64.
+    narrow = (60_000, _random_varint_bytes(rng, 400, lengths=(1, 1, 2, 3, 5, 8)))
+    for field in (copies, [ascii_copy], copies + [ascii_copy], [(3, b"")], [narrow]):
         want = _reference_varints(field)
         assert pbf._varints({(8, 2): field}, 8) == want
         zigzag = [(v >> 1) ^ -(v & 1) for v in want]
-        assert pbf._delta_coded({(8, 2): field}, 8) == [sum(zigzag[: k + 1]) for k in range(len(zigzag))]
-    assert pbf._varints({}, 8) == pbf._delta_coded({}, 8) == []
+        sums = [sum(zigzag[: k + 1]) for k in range(len(zigzag))]
+        if all(-(2**63) <= v < 2**63 for v in sums):
+            assert pbf._delta_coded({(8, 2): field}, 8, "way ref", 70) == sums
+        else:
+            with pytest.raises(PbfError, match="way ref is outside int64") as err:
+                pbf._delta_coded({(8, 2): field}, 8, "way ref", 70)
+            assert err.value.offset == 70
+    assert pbf._varints({}, 8) == pbf._delta_coded({}, 8, "way ref", 0) == []
 
 
 @pytest.mark.parametrize("tail", [
@@ -705,7 +713,7 @@ def test_bad_varints_raise_the_per_value_error_at_the_same_offset(head, tail):
     copies = [(40, b"\x01\x02"), (90, head + tail)]
     with pytest.raises(PbfError) as want:
         _reference_varints(copies)
-    for decode in (pbf._varints, pbf._delta_coded):
+    for decode in (pbf._varints, lambda m, fnum: pbf._delta_coded(m, fnum, "way ref", 0)):
         with pytest.raises(PbfError) as got:
             decode({(9, 2): copies}, 9)
         assert (str(got.value), got.value.offset) == (str(want.value), want.value.offset)
@@ -746,6 +754,41 @@ def test_way_and_relation_ids_are_read_as_int64(tmp_path):
     data = read_pbf(str(path))
     assert [w.id for w in data.ways] == [-5]
     assert [(r.id, r.members) for r in data.relations] == [(-5, (("way", -5, "outer"),))]
+
+
+_INT64_MAX = 2**63 - 1
+
+
+@pytest.mark.parametrize("group,message", [
+    # Two dense id deltas of 2**63 - 1 sum to 2**64 - 2.
+    (_ld(2, _ld(1, _sv(_INT64_MAX) * 2) + _ld(8, _sv(0) * 2) + _ld(9, _sv(0) * 2)), "node id is outside int64"),
+    (_ld(2, _ld(1, _sv(1) * 2) + _ld(8, _sv(_INT64_MAX) + _sv(1)) + _ld(9, _sv(0) * 2)), "node lat is outside int64"),
+    (_ld(2, _ld(1, _sv(1) * 2) + _ld(8, _sv(0) * 2) + _ld(9, _sv(-(2**63)) + _sv(-1))), "node lon is outside int64"),
+    (_ld(1, _varint_field(1, 2**64) + _NODE_LAT + _NODE_LON), "node id is outside int64"),
+    (_ld(1, _NODE_ID + _varint_field(8, 2**65 + 1) + _NODE_LON), "node lat is outside int64"),
+    (_ld(3, _varint_field(1, 7) + _ld(8, _sv(_INT64_MAX) + _sv(1))), "way ref is outside int64"),
+    (_ld(4, _varint_field(1, 5) + _ld(8, _uv(0) * 2) + _ld(9, _sv(-(2**63)) + _sv(-1)) + _ld(10, _uv(1) * 2)),
+     "relation member ref is outside int64"),
+], ids=["dense-id", "dense-lat", "dense-lon", "node-id", "node-lat", "way-ref", "relation-ref"])
+def test_decoded_values_outside_int64_are_rejected_at_their_element(tmp_path, group, message):
+    block = _ld(1, _ld(1, b"")) + _ld(2, group)
+    header, data = _header_blob(), _blob("OSMData", block)
+    path = tmp_path / "wide.osm.pbf"
+    path.write_bytes(header + data)
+    (header_len,) = struct.unpack(">I", data[:4])
+    blob_start = len(header) + 4 + header_len
+    element_at = len(block) - len(_message_payload(group))
+    with pytest.raises(PbfError) as err:
+        read_pbf(str(path))
+    assert (err.value.offset, err.value.block_offset) == (blob_start, element_at)
+    assert str(err.value) == f"{path}: {message} (at byte {element_at} of the block in the blob at byte {blob_start})"
+
+
+def _message_payload(field):
+    """The payload of one length-delimited field, as _ld wrote it."""
+    _, i = _reference_uvarint(field, 0, 0)
+    _, i = _reference_uvarint(field, i, 0)
+    return field[i:]
 
 
 _STEP = pbf.COORD_SCALE * pbf.DEFAULT_GRANULARITY

@@ -178,14 +178,14 @@ def test_parse_rejects_unknown_edge_label():
 
 
 def test_duplicate_tile_ids_rejected():
-    line = tile_to_json(_fixture_tile())
+    line = tile_to_json(_fixture_tile()).encode("utf-8")
     with pytest.raises(TefError, match="duplicate"):
         list(parse_tef_lines([line, line]))
 
 
 def test_blank_lines_are_skipped():
-    line = tile_to_json(_fixture_tile())
-    tiles = list(parse_tef_lines(["", line, "   ", ""]))
+    line = tile_to_json(_fixture_tile()).encode("utf-8")
+    tiles = list(parse_tef_lines([b"\n", line, b"   \n", b""]))
     assert len(tiles) == 1
 
 

@@ -60,17 +60,16 @@ def test_prune_vocab_order_and_floor():
     counts = {"a=1": 10, "b=1": 12, "c=1": 10, "d=1": 9}
     vocab = prune_vocab(counts)
     assert vocab.tags == ("b=1", "a=1", "c=1")
-    assert vocab.index["a=1"] == 1
-    assert "d=1" not in vocab
+    assert "d=1" not in vocab.tags
     assert VOCAB_MIN_OCCURRENCES == 10 and VOCAB_MAX_SIZE == 12500
 
 
 def test_prune_vocab_truncates_at_max_size():
     counts = {f"t={i:05d}": VOCAB_MIN_OCCURRENCES for i in range(VOCAB_MAX_SIZE + 1)}
     vocab = prune_vocab(counts)
-    assert len(vocab) == VOCAB_MAX_SIZE
+    assert len(vocab.tags) == VOCAB_MAX_SIZE
     assert vocab.tags[0] == "t=00000"
-    assert f"t={VOCAB_MAX_SIZE:05d}" not in vocab
+    assert f"t={VOCAB_MAX_SIZE:05d}" not in vocab.tags
 
 
 # ------------------------------------------------------------- embeddings
