@@ -168,6 +168,16 @@ class Geometry:
         closing repeat, ring by ring: the vertex numbering of VisibilityGraph."""
         return tuple((r, i) for r, ring in enumerate(self.rings()) for i in range(len(ring) - 1))
 
+    def ring_edges(self) -> tuple[tuple[int, int], ...]:
+        """(k, the vertex after k on its ring) for every vertex k numbered by
+        ring_vertices; the last vertex of a ring joins its first.  These are
+        the boundary edges of VisibilityGraph."""
+        edges: list[tuple[int, int]] = []
+        for ring in self.rings():
+            k, m = len(edges), len(ring) - 1
+            edges.extend(zip(range(k, k + m), [*range(k + 1, k + m), k]))
+        return tuple(edges)
+
     def iter_points(self) -> Iterator[Coord]:
         """Every stored point, ring-closing repeats included."""
         if self.kind == "point":
@@ -194,9 +204,9 @@ class VisibilityGraph:
     """Vertex provenance plus labelled edges over a multipolygon's rings.
 
     vertices[i] is (ring_index, position_in_ring), numbered by
-    Geometry.ring_vertices; edges carry "bnd" for ring adjacency and "vis"
-    for unobstructed non-adjacent pairs.  Cross-ring vs same-ring visibility
-    can be recovered from the provenance.
+    Geometry.ring_vertices; edges carry "bnd" for ring adjacency
+    (Geometry.ring_edges) and "vis" for unobstructed non-adjacent pairs.
+    Cross-ring vs same-ring visibility can be recovered from the provenance.
     """
 
     vertices: tuple[tuple[int, int], ...]

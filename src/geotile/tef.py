@@ -22,8 +22,26 @@ deflated at STORE_GZIP_LEVEL, zlib's default 6, not gzip's 9: on the
 benchmark corpora 9 took 1.8 to 3.5 times as long and saved at most 1.5% of
 the bytes (BENCH_gzip.json).
 
+A group file is read whole and inflated as one gzip member of at most
+MAX_GROUP_TEXT bytes; a larger, truncated or multi-member file (the writer
+makes one member) raises TefError naming it.
+
 Numbers must be finite: NaN, Infinity and literals that overflow a float are
 rejected like any other schema violation.
+
+An entity's visibility graph is stored as ``"visgraph":{"visible":rows}``,
+one row per vertex as Geometry.ring_vertices numbers them.  Row i lists the
+vertices j > i that i sees, ascending, as the gaps ``j1 - i, j2 - j1, ...``;
+a vertex that sees no higher one has ``[]``.  The ring edges
+(Geometry.ring_edges) are not stored: the geometry fixes them.  The decoder
+takes a graph only on a polygon or multipolygon, with exactly one list per
+vertex, every gap an int (not a bool) of at least 1, ``i + sum(row) < n``,
+and no ring edge listed.  It rebuilds the edges in the order visibility
+builds them: ``(min, max, "bnd")`` for each vertex's ring edge, then each
+row's ``(i, j, "vis")``.  The writer refuses, naming the entity, any graph
+that is not exactly that shape, so no edge is ever dropped.  Stores written
+in the earlier ``{"edges": [[i, j, "bnd"|"vis"], ...]}`` form are refused at
+``...visgraph``; ``geotile process`` on the raw store writes them anew.
 """
 
 from __future__ import annotations
@@ -35,7 +53,10 @@ import json
 import os
 import re
 import zlib
+from bisect import bisect_left
 from collections import defaultdict
+from itertools import accumulate, chain, islice, repeat
+from operator import itemgetter, sub
 from typing import Iterable, Iterator, get_args
 
 from .geo import TileId
@@ -59,7 +80,15 @@ INDEX_NAME = "index.json"
 
 STORE_GZIP_LEVEL = 6  # deflate level of every group file
 
+# The most TEF text a group file may inflate to; a reader stops one byte past
+# it.  The largest group of the benchmark corpora inflates to 426 KB.
+MAX_GROUP_TEXT = 64 * 1024 * 1024
+
 _KINDS = get_args(GeometryKind)
+
+_AREAL = ("polygon", "multipolygon")
+_INT = frozenset((int,))
+_THREE = frozenset((3,))
 
 
 class TefError(ValueError):
@@ -84,11 +113,37 @@ def group_file_name(group: tuple[int, int, int]) -> str:
     return f"{group[0]}_{group[1]}_{group[2]}.tefgz"
 
 
+# ------------------------------------------------------- visibility graphs
+
+
+def _ring_rule(geom: Geometry) -> tuple[list[tuple[int, int, str]], dict[int, int]]:
+    """The boundary edges of geom's graph, (min, max, "bnd") by vertex as
+    visibility builds them, and each ring's first vertex -> its last."""
+    ring = geom.ring_edges()
+    edges = [(k, j, EDGE_BOUNDARY) if k < j else (j, k, EDGE_BOUNDARY) for k, j in ring]
+    return edges, {j: k for k, j in ring if j < k}
+
+
+def _row_fault(i: int, row, n: int, closing: dict[int, int]) -> str | None:
+    """What breaks the format in row i of an n-vertex graph's "visible" list, or None."""
+    # type, not isinstance: true and false are ints too
+    if type(row) is not list or not _INT.issuperset(map(type, row)) or (row and min(row) < 1):
+        return "expected a list of integer gaps of at least 1"
+    if i + sum(row) >= n:
+        return "vertex index out of range"
+    # Pairs ascend from i, so the ring edge i -> i + 1 can only come first,
+    # and is one unless i + 1 starts the next ring.  A ring's first vertex
+    # must not list its last.
+    if (row and row[0] == 1 and i + 1 not in closing) or (i in closing and closing[i] in accumulate(row, initial=i)):
+        return "lists a ring edge"
+    return None
+
+
 # ----------------------------------------------------------------- encoding
 
 
 def _entity_json(e: Entity) -> dict:
-    # json.dumps writes the nested tuples of tags, coords and edges as arrays.
+    # json.dumps writes the nested tuples of tags and coords as arrays.
     obj: dict = {
         "id": e.id,
         "kind": e.kind,
@@ -98,8 +153,44 @@ def _entity_json(e: Entity) -> dict:
     if e.minbox is not None:
         obj["minbox"] = [float(v) for v in e.minbox.flat()]
     if e.visgraph is not None:
-        obj["visgraph"] = {"edges": e.visgraph.edges}
+        obj["visgraph"] = {"visible": _visible_rows(e)}
     return obj
+
+
+def _visible_rows(e: Entity) -> list[list[int]]:
+    """The "visible" rows of e's visibility graph; TefError names the entity
+    unless the decoder would rebuild exactly that graph from them."""
+    graph, geom = e.visgraph, e.geometry
+    if geom.kind not in _AREAL:
+        raise TefError(f"entity {e.id}: a visibility graph needs a polygon or multipolygon, not a {geom.kind}")
+    boundary, closing = _ring_rule(geom)
+    n = len(boundary)
+    vis = graph.edges[n:]
+    try:
+        near, far = list(map(itemgetter(0), vis)), list(map(itemgetter(1), vis))
+        at = [bisect_left(near, i) for i in range(n + 1)]  # row i is far[at[i]:at[i + 1]]
+        rows = []
+        for i, a, b in zip(range(n), at, at[1:]):
+            js = far[a:b]
+            rows.append(list(map(sub, js, (i, *js))))
+        # Integer gaps add back up to far exactly, so the rows need only pass the decoder's checks.
+        exact = (
+            graph.vertices == geom.ring_vertices()
+            and graph.edges[:n] == tuple(boundary)
+            and _THREE.issuperset(map(len, vis))
+            and list(map(itemgetter(2), vis)).count(EDGE_VISIBLE) == len(vis)
+            # near is sorted and in range exactly when it lists each row's vertex once per pair.
+            and near == list(chain.from_iterable(map(repeat, range(n), map(len, rows))))
+            and not any(map(_row_fault, range(n), rows, repeat(n), repeat(closing)))
+        )
+    except (TypeError, IndexError):  # an edge that is not an (i, j, label) of ints
+        exact = False
+    if not exact:
+        raise TefError(
+            f"entity {e.id}: visibility graph is not its geometry's ring edges, "
+            "then the visible pairs (i, j, 'vis'), i < j, each once in ascending order"
+        )
+    return rows
 
 
 def tile_to_json(tile: Tile) -> str:
@@ -138,24 +229,22 @@ def _geometry(obj, path: str, lineno) -> Geometry:
 
 
 def _visgraph(obj, geom: Geometry, path: str, lineno) -> VisibilityGraph:
-    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
-        raise _fail(path, "expected {\"edges\": [...]}", lineno)
-    vertices = geom.ring_vertices()
-    n = len(vertices)
-    edges = []
-    for i, item in enumerate(obj["edges"]):
-        if (
-            not isinstance(item, list)
-            or len(item) != 3
-            or type(item[0]) is not int  # not isinstance: true and false are ints too
-            or type(item[1]) is not int
-            or item[2] not in (EDGE_BOUNDARY, EDGE_VISIBLE)
-        ):
-            raise _fail(f"{path}.edges[{i}]", 'expected [i, j, "bnd"|"vis"]', lineno)
-        if not (0 <= item[0] < n and 0 <= item[1] < n):
-            raise _fail(f"{path}.edges[{i}]", "vertex index out of range", lineno)
-        edges.append((item[0], item[1], item[2]))
-    return VisibilityGraph(vertices=vertices, edges=tuple(edges))
+    """The graph of geom whose visible pairs obj's gap rows list."""
+    rows = obj.get("visible") if isinstance(obj, dict) else None
+    if not isinstance(rows, list):
+        raise _fail(path, 'expected {"visible": [[gap, ...], ...]}', lineno)
+    if geom.kind not in _AREAL:
+        raise _fail(path, f"a visibility graph needs a polygon or multipolygon, not a {geom.kind}", lineno)
+    edges, closing = _ring_rule(geom)
+    n = len(edges)
+    if len(rows) != n:
+        raise _fail(path, f"expected {n} rows, one per ring vertex, got {len(rows)}", lineno)
+    for i, row in enumerate(rows):
+        fault = _row_fault(i, row, n, closing)
+        if fault:
+            raise _fail(f"{path}.visible[{i}]", fault, lineno)
+        edges.extend(zip(repeat(i), islice(accumulate(row, initial=i), 1, None), repeat(EDGE_VISIBLE)))
+    return VisibilityGraph(vertices=geom.ring_vertices(), edges=tuple(edges))
 
 
 def _entity(obj, path: str, lineno) -> Entity:
@@ -337,18 +426,35 @@ def store_groups(root: str) -> dict[str, set[str]]:
     return dict(sorted(groups.items()))
 
 
+def _gunzip(data: bytes) -> bytes:
+    """The TEF text of a group file's bytes: one gzip member that inflates to at most MAX_GROUP_TEXT bytes."""
+    inflater = zlib.decompressobj(wbits=31)  # gzip header and trailer, CRC-32 and size checked
+    try:
+        # One byte over the cap tells an oversized file from an exact one.
+        text = inflater.decompress(data, MAX_GROUP_TEXT + 1)
+    except zlib.error as exc:
+        raise TefError(f"corrupt gzip data: {exc}") from None
+    if len(text) > MAX_GROUP_TEXT:
+        raise TefError(f"inflates past {MAX_GROUP_TEXT} bytes")
+    if not inflater.eof:
+        raise TefError("corrupt gzip data: incomplete or truncated stream")
+    if inflater.unused_data:
+        raise TefError(f"corrupt gzip data: {len(inflater.unused_data)} bytes after the gzip member")
+    return text
+
+
 def read_group_file(path: str, keys: set[str]) -> list[Tile]:
     """The tiles of one group file, exactly keys, the tile ids its index lists
     for it; a missing file, corrupt gzip data or TEF, or other tiles, raise TefError naming the file."""
     try:
-        with gzip.open(path, "rb") as fh:
-            tiles = list(parse_tef_lines(fh))
-    except TefError as exc:
-        raise TefError(f"{path}: {exc}") from None
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise TefError(f"{path}: corrupt gzip data: {exc}") from None
+        with open(path, "rb") as fh:
+            data = fh.read()  # its compressed size bounds this read
     except FileNotFoundError:
         raise TefError(f"{path}: no such file, though the index lists tiles {sorted(keys)} in it") from None
+    try:
+        tiles = list(parse_tef_lines(_gunzip(data).split(b"\n")))
+    except TefError as exc:
+        raise TefError(f"{path}: {exc}") from None
     held = {t.id.key for t in tiles}
     if held != keys:
         raise TefError(f"{path}: holds unlisted tiles {sorted(held - keys)} and lacks listed tiles {sorted(keys - held)}")

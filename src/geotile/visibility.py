@@ -45,9 +45,7 @@ def build_scene(geom: Geometry) -> Scene:
             raise ValueError(f"ring {ridx} is not closed (or has fewer than 3 distinct points)")
     provenance = list(geom.ring_vertices())
     vertices = [rings[r][i] for r, i in provenance]
-    # Vertex k, at position i of its ring, joins the next one; the last joins the first, k - i.
-    edges = [(k, k + 1 if i + 2 < len(rings[r]) else k - i) for k, (r, i) in enumerate(provenance)]
-    return vertices, provenance, edges
+    return vertices, provenance, list(geom.ring_edges())
 
 
 def proper_crossing(

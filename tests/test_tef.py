@@ -4,6 +4,7 @@ import gzip
 import hashlib
 import json
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from geotile import tef
 from geotile.geo import TileId
 from geotile.model import Entity, Geometry, MinBox, Tile, VisibilityGraph
+from geotile.visibility import visibility_edges
 from geotile.tef import (
     TefError,
     group_file_name,
@@ -73,22 +75,68 @@ def test_round_trip_preserves_every_field():
     assert back == tile
 
 
-def test_visibility_graph_edges_survive_the_trip():
-    hole = [(0.3, 0.3), (0.3, 0.4), (0.4, 0.4), (0.4, 0.3), (0.3, 0.3)]
-    graph = VisibilityGraph(
-        vertices=tuple((0, i) for i in range(4)) + tuple((1, i) for i in range(4)),
-        edges=((0, 1, "bnd"), (0, 2, "vis")),
-    )
+HOLE = [(0.3, 0.3), (0.3, 0.4), (0.4, 0.4), (0.4, 0.3), (0.3, 0.3)]
+
+
+def _graph_tile(graph, geometry=None):
     entity = Entity(
         id=3,
         kind="relation",
         tags=(("building", "yes"),),
-        geometry=Geometry.multipolygon([[RING, hole]]),
+        geometry=geometry or Geometry.multipolygon([[RING, HOLE]]),
         visgraph=graph,
     )
-    tile = _fixture_tile().with_entities([entity])
-    back = tile_from_json(tile_to_json(tile))
+    return _fixture_tile().with_entities([entity])
+
+
+def test_visibility_graph_edges_survive_the_trip():
+    graph = visibility_edges(Geometry.multipolygon([[RING, HOLE]]))
+    tile = _graph_tile(graph)
+    line = tile_to_json(tile)
+    # Rows of gaps to the higher vertices each vertex sees; ring edges are not stored.
+    assert '"visgraph":{"visible":[[2,2,1,1,1],[3,2,1],[2,1,1,1],[1,1,1],[2],[2],[],[]]}' in line
+    back = tile_from_json(line)
     assert back.entities[0].visgraph == graph
+    assert tile_to_json(back) == line
+
+
+def _whole_graph():
+    return visibility_edges(Geometry.multipolygon([[RING, HOLE]]))
+
+
+@pytest.mark.parametrize("edit", [
+    # The two-edge graph this format stored before: not a whole graph.
+    lambda g: ((0, 1, "bnd"), (0, 2, "vis")),
+    lambda g: g.edges[:8] + g.edges[9:10] + g.edges[8:9] + g.edges[10:],
+    lambda g: g.edges + g.edges[-1:],
+    lambda g: g.edges[:8] + ((2, 0, "vis"),) + g.edges[9:],
+    lambda g: g.edges[:8] + ((0, 1, "vis"),) + g.edges[8:],
+    lambda g: g.edges[:8] + ((0, 3, "vis"),) + g.edges[8:],
+    lambda g: g.edges[:8] + g.edges[8:] + ((7, 8, "vis"),),
+    lambda g: g.edges[:8] + ((0, 2, "bnd"),) + g.edges[9:],
+    lambda g: g.edges[:8] + ((0, 2.0, "vis"),) + g.edges[9:],
+    lambda g: g.edges[:8] + ((0, 2, "vis", 1),) + g.edges[9:],
+    lambda g: g.edges[:8] + ((0, 2),) + g.edges[9:],
+    lambda g: g.edges[:8] + ((0,),) + g.edges[9:],
+    lambda g: g.edges[:8] + (None,) + g.edges[9:],
+    lambda g: g.edges[1:8] + g.edges[:1] + g.edges[8:],
+    lambda g: g.edges[:7] + g.edges[8:],
+], ids=["two-edge-graph", "unsorted", "duplicated", "reversed", "ring-edge-as-vis", "closing-edge-as-vis",
+        "out-of-range", "vis-as-bnd", "float-vertex", "four-items", "two-items", "one-item",
+        "not-a-tuple", "boundary-order", "boundary-missing"])
+def test_writer_refuses_graphs_it_cannot_store_whole(edit):
+    graph = _whole_graph()
+    with pytest.raises(TefError, match="^entity 3: visibility graph"):
+        tile_to_json(_graph_tile(VisibilityGraph(vertices=graph.vertices, edges=edit(graph))))
+
+
+def test_writer_refuses_a_graph_numbered_otherwise_or_on_a_point():
+    graph = _whole_graph()
+    renumbered = VisibilityGraph(vertices=graph.vertices[4:] + graph.vertices[:4], edges=graph.edges)
+    with pytest.raises(TefError, match="^entity 3: visibility graph"):
+        tile_to_json(_graph_tile(renumbered))
+    with pytest.raises(TefError, match="^entity 3: a visibility graph needs a polygon or multipolygon, not a point"):
+        tile_to_json(_graph_tile(VisibilityGraph(vertices=(), edges=()), Geometry.point((0.5, 0.5))))
 
 
 def test_float_values_survive_repr_round_trip():
@@ -123,7 +171,7 @@ _MULTI = (
     '{"id":"16_0_0","extent_m":100.0,"origin":[0.0,0.0],"entities":['
     '{"id":1,"kind":"way","tags":[],"geometry":{"type":"multipolygon","coords":[[[[0.0,0.0],'
     '[1.0,0.0],[1.0,1.0],[0.0,0.0]]],[[[0.0,0.0],[0.5,0.0],[0.5,0.5],[0.0,0.0]]]]},'
-    '"minbox":[0,0,1,0,1,1,0,1],"visgraph":{"edges":[[0,1,"bnd"],[1,2,"bnd"]]}}]}'
+    '"minbox":[0,0,1,0,1,1,0,1],"visgraph":{"visible":[[3,1],[2],[1,2],[],[],[]]}}]}'
 )
 
 
@@ -152,10 +200,10 @@ _MULTI = (
     ('"minbox":[0,0,1,0,1,1,0,1]', '"minbox":[0,0,1,0,1,1,Infinity,1]', "tile: non-finite number Infinity (line 3)"),
     ('"extent_m":100.0', '"extent_m":-Infinity', "tile: non-finite number -Infinity (line 3)"),
     ('"tags":[]', '"tags":[],"note":NaN', "tile: non-finite number NaN (line 3)"),
-    ('[1,2,"bnd"]', '[1,9,"bnd"]', "tile.entities[0].visgraph.edges[1]: vertex index out of range (line 3)"),
-    ('[1,2,"bnd"]', '[1,2.0,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
-    ('[1,2,"bnd"]', '[false,true,"bnd"]', 'tile.entities[0].visgraph.edges[1]: expected [i, j, "bnd"|"vis"] (line 3)'),
-    ('[0,1,"bnd"]', '[0,true,"bnd"]', 'tile.entities[0].visgraph.edges[0]: expected [i, j, "bnd"|"vis"] (line 3)'),
+    ('[[3,1],', '[[3,1.0],', "tile.entities[0].visgraph.visible[0]: expected a list of integer gaps of at least 1 (line 3)"),
+    ('[[3,1],', '[[3,true],', "tile.entities[0].visgraph.visible[0]: expected a list of integer gaps of at least 1 (line 3)"),
+    ('[2],[1,2]', '[2],[1,3]', "tile.entities[0].visgraph.visible[2]: vertex index out of range (line 3)"),
+    ('[2],[1,2]', '2,[1,2]', "tile.entities[0].visgraph.visible[1]: expected a list of integer gaps of at least 1 (line 3)"),
     ('{"id":1,"kind"', '{"id":true,"kind"', "tile.entities[0].id: expected integer id (line 3)"),
     ('{"id":1,"kind"', '{"id":1.0,"kind"', "tile.entities[0].id: expected integer id (line 3)"),
 ])
@@ -167,14 +215,49 @@ def test_parse_error_names_the_field_path(old, new, message):
 
 
 def test_parse_rejects_unknown_edge_label():
-    line = (
-        '{"id":"16_0_0","extent_m":100.0,"origin":[0.0,0.0],"entities":['
-        '{"id":1,"kind":"way","tags":[],"geometry":{"type":"polygon",'
-        '"coords":[[[0.0,0.0],[1.0,0.0],[1.0,1.0],[0.0,0.0]]]},'
-        '"visgraph":{"edges":[[0,1,"maybe"]]}}]}'
-    )
-    with pytest.raises(TefError, match="visgraph"):
+    # Rows hold gaps only: a label, or an edge in the old [i, j, label] form, is not one.
+    line = _MULTI.replace('"visible":[[3,1]', '"visible":[["vis"]')
+    with pytest.raises(TefError, match=r"visgraph\.visible\[0\]: expected a list of integer gaps"):
         tile_from_json(line)
+    line = _MULTI.replace('"visible":[[3,1]', '"visible":[[0,3,"vis"]')
+    with pytest.raises(TefError, match=r"visgraph\.visible\[0\]: expected a list of integer gaps"):
+        tile_from_json(line)
+
+
+# Graphs the decoder once accepted though no writer makes them, and the rows'
+# other faults, each named at its field path.
+@pytest.mark.parametrize("old,new,message", [
+    ('"visible":[[3,1],[2],[1,2],[],[],[]]', '"edges":[]', 'visgraph: expected {"visible": [[gap, ...], ...]}'),
+    ('"visible":[[3,1],[2],[1,2],[],[],[]]', '"visible":{}', 'visgraph: expected {"visible": [[gap, ...], ...]}'),
+    ('"visible":[[3,1],[2],[1,2],[],[],[]]', '"visible":[[3,1],[2],[1,2],[],[]]',
+     "visgraph: expected 6 rows, one per ring vertex, got 5"),
+    ('[[3,1],', '[[3,0],', "visgraph.visible[0]: expected a list of integer gaps of at least 1"),
+    ('[[3,1],', '[[3,-1],', "visgraph.visible[0]: expected a list of integer gaps of at least 1"),
+    ('[1,2],[],[]', '[1,2],[1],[]', "visgraph.visible[3]: lists a ring edge"),
+    ('[1,2],[],[]', '[1,2],[2],[]', "visgraph.visible[3]: lists a ring edge"),
+    ('[[3,1],', '[[2,1],', "visgraph.visible[0]: lists a ring edge"),
+    ('[[3,1],', '[[1,2],', "visgraph.visible[0]: lists a ring edge"),
+], ids=["old-edges", "not-a-list", "row-count", "duplicate", "reversed", "ring-edge", "closing-edge",
+        "closing-edge-first-ring", "ring-edge-first-ring"])
+def test_parse_refuses_graphs_no_writer_makes(old, new, message):
+    assert old in _MULTI
+    with pytest.raises(TefError) as info:
+        tile_from_json(_MULTI.replace(old, new), 3)
+    assert str(info.value) == f"tile.entities[0].{message} (line 3)"
+
+
+def test_parse_refuses_a_graph_on_a_point():
+    line = CANONICAL.replace('"coords":[0.25,0.5]}', '"coords":[0.25,0.5]},"visgraph":{"visible":[]}')
+    with pytest.raises(TefError) as info:
+        tile_from_json(line)
+    assert str(info.value) == "tile.entities[0].visgraph: a visibility graph needs a polygon or multipolygon, not a point"
+
+
+def test_a_ring_last_vertex_may_list_the_next_ring_first():
+    # 2 -> 3 is not a ring edge: vertex 2 ends the first ring and 3 starts the second.
+    graph = tile_from_json(_MULTI.replace("[2],[1,2]", "[2],[1,1,1]")).entities[0].visgraph
+    assert graph.edges[6:] == ((0, 3, "vis"), (0, 4, "vis"), (1, 3, "vis"), (2, 3, "vis"), (2, 4, "vis"), (2, 5, "vis"))
+    assert graph.edges[:6] == ((0, 1, "bnd"), (1, 2, "bnd"), (0, 2, "bnd"), (3, 4, "bnd"), (4, 5, "bnd"), (3, 5, "bnd"))
 
 
 def test_duplicate_tile_ids_rejected():
@@ -340,6 +423,38 @@ def test_flipped_byte_in_group_file_names_the_file(tmp_path):
             unnoticed.append(i)
     # Only the gzip header's mtime, extra-flags and OS bytes go unchecked.
     assert unnoticed == [4, 5, 6, 7, 8, 9]
+
+
+def test_gzip_bomb_is_refused_within_the_cap(tmp_path, monkeypatch):
+    cap = 1 << 20
+    monkeypatch.setattr(tef, "MAX_GROUP_TEXT", cap)
+    path = _group_file(tmp_path)
+    # 64 MiB of spaces deflate to about 64 KB; the test never holds them whole.
+    deflater = zlib.compressobj(9, zlib.DEFLATED, 31)
+    chunk = b" " * (1 << 16)
+    path.write_bytes(b"".join(deflater.compress(chunk) for _ in range(1024)) + deflater.flush())
+    tracemalloc.start()
+    try:
+        with pytest.raises(TefError) as err:
+            read_group_file(str(path), GROUP_KEYS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{path}: inflates past {cap} bytes"
+    # zlib joins its output blocks into one bytes, so the text can be held twice, never the 64 MiB.
+    assert peak < 3 * cap
+
+
+def test_group_file_of_two_gzip_members_is_refused(tmp_path):
+    # The writer makes one member per file; gzip readers would join a second.
+    path = _group_file(tmp_path)
+    raw = path.read_bytes()
+    path.write_bytes(raw + gzip.compress(b"\n", mtime=0))
+    with pytest.raises(TefError) as err:
+        read_group_file(str(path), GROUP_KEYS)
+    assert str(err.value) == f"{path}: corrupt gzip data: 21 bytes after the gzip member"
+    path.write_bytes(raw)
+    assert {t.id.key for t in read_group_file(str(path), GROUP_KEYS)} == GROUP_KEYS
 
 
 def test_group_file_that_is_not_utf8_names_the_file_and_line(tmp_path):

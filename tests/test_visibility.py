@@ -142,13 +142,35 @@ def test_vertices_carry_ring_provenance():
 
 
 def test_built_graphs_read_back_from_tef_unchanged():
-    # TEF stores only the edges and numbers the vertices from the geometry.
+    # TEF stores only the visible pairs and takes the vertices and ring edges from the geometry.
     rng = np.random.default_rng(130)
-    for _ in range(10):
+    for _ in range(60):
         geom = _random_multipolygon(rng)
         entity = Entity(id=1, kind="relation", tags=(), geometry=geom, visgraph=visibility_edges(geom))
         tile = Tile(id=TileId(16, 18052, 25957), origin=(0.0, 0.0), extent_m=500.0, entities=(entity,))
-        assert tef.tile_from_json(tef.tile_to_json(tile)) == tile
+        line = tef.tile_to_json(tile)
+        assert '"bnd"' not in line
+        back = tef.tile_from_json(line)
+        assert back == tile
+        assert tef.tile_to_json(back) == line
+
+
+def test_ring_edges_join_each_ring_point_to_the_next():
+    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)]
+    hole = [(0.4, 0.4), (0.4, 0.6), (0.6, 0.4), (0.4, 0.4)]
+    assert Geometry.polygon([square, hole]).ring_edges() == ((0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4))
+    assert Geometry.point((0.5, 0.5)).ring_edges() == ()
+    # Random rings have distinct points, so each stored ring step names one vertex pair.
+    rng = np.random.default_rng(131)
+    for _ in range(30):
+        geom = _random_multipolygon(rng)
+        vertices, _, edges = build_scene(geom)
+        index = {p: k for k, p in enumerate(vertices)}
+        steps = {tuple(sorted((index[a], index[b]))) for ring in geom.rings() for a, b in zip(ring, ring[1:])}
+        assert all(len(ring) >= 4 for ring in geom.rings())
+        assert edges == list(geom.ring_edges())
+        assert {(min(i, j), max(i, j)) for i, j in geom.ring_edges()} == steps
+        assert len(geom.ring_edges()) == len(steps) == len(geom.ring_vertices())
 
 
 def test_non_areal_geometry_is_rejected():
